@@ -15,11 +15,10 @@ import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CorpusError, SessionTrace, read_lines, tokenize
+from .core import CorpusError, SessionTrace, read_corpus, read_lines, tokenize
 from .metrics import MetricsError, TradeoffPoint, aggregate
 from .predict import (
     EmptyCorpus,
@@ -34,6 +33,8 @@ from .sim import (
     RunConfig,
     SimulationError,
     TraceError,
+    _simulate,
+    check_lm,
     config_hash,
     load_models,
     load_run_config,
@@ -64,7 +65,7 @@ _INPUT_ERRORS = (
 
 
 class SweepCellError(Exception):
-    """A sweep cell failed; message carries the cell's label."""
+    """A sweep cell failed; message carries the cell's label, __cause__ the error."""
 
 
 @dataclass(frozen=True)
@@ -152,39 +153,45 @@ def run_sweep(
     spec: SweepSpec,
     out_dir: str | Path | None = None,
     write_cell_traces: bool = False,
-    workers: int = 1,
 ) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
     """Run every cell; results come back sorted by strategy label.
 
-    The translator (and its memo cache) is shared across cells, which is
-    sound because translators are pure functions of their inputs.
+    Every cell's LM needs are checked before any work starts. The
+    translator (and its memo cache) is shared across cells, which is
+    sound because translators are pure functions of their inputs; with
+    spec.base.parallelism > 1 each worker process shares its own copy
+    across cells, over its shard of sentences.
     """
-    from .core import read_corpus
-
-    pairs = read_corpus(spec.base.source_path, spec.base.reference_path, spec.base.char_mode)
-    models = load_models(spec.base, pairs)
+    base = spec.base
+    pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
+    if not pairs:
+        raise CorpusError(f"{base.source_path}: empty corpus")
+    models = load_models(base, pairs)
     cells = spec.cells()
+    for cell in cells:
+        try:
+            check_lm(cell, models.lm)
+        except PredictorError as exc:
+            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
+    cfgs = [dataclasses.replace(base, strategy=cell) for cell in cells]
+    traces, failure = _simulate(cfgs, pairs, models, base.parallelism)
+    if failure is not None:
+        index, exc = failure
+        raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-
-    def one(cell: StrategyConfig):
-        cfg = dataclasses.replace(spec.base, strategy=cell)
+    results = []
+    for cell, cfg, cell_traces in zip(cells, cfgs, traces):
         try:
-            traces, point = run_corpus(cfg, models=models)
-        except Exception as exc:
+            point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
+        except MetricsError as exc:
             raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
         if out_path is not None and write_cell_traces:
             name = _safe_filename(cell.label) + ".jsonl"
-            _atomic_write_traces(out_path / name, traces, cfg)
-        return cell, point, traces
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(cell) for cell in cells]
+            _atomic_write_traces(out_path / name, cell_traces, cfg)
+        results.append((cell, point, cell_traces))
     results.sort(key=lambda item: item[0].label)
     return results
 
@@ -339,12 +346,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec, parallelism=args.parallelism)
-    results = run_sweep(
-        spec,
-        out_dir=args.out_dir,
-        write_cell_traces=args.traces,
-        workers=args.workers,
-    )
+    results = run_sweep(spec, out_dir=args.out_dir, write_cell_traces=args.traces)
     points = [point for _, point, _ in results]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--char-mode", action="store_true")
     p.add_argument("--ne-mode", choices=["mean", "corpus"])
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument(
+        "--parallelism", type=int, default=1,
+        help="worker processes, sharded by sentence (default 1: in-process)",
+    )
     p.add_argument("--traces-out")
     p.add_argument("--metrics-out")
     p.add_argument("--echo-config", action="store_true")
@@ -473,8 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pareto", action="store_true", help="also emit the (AL, NE) frontier")
     p.add_argument("--traces", action="store_true", help="write per-cell trace files")
-    p.add_argument("--workers", type=int, default=1, help="cells run in parallel")
-    p.add_argument("--parallelism", type=int, default=1, help="sentences per cell in parallel")
+    p.add_argument(
+        "--parallelism", type=int, default=1,
+        help="worker processes, sharded by sentence; each runs every cell over "
+        "its sentences with its own translator cache (default 1: in-process)",
+    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("metrics", help="recompute metrics from a trace file")
@@ -508,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SweepCellError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc.__cause__, _INPUT_ERRORS) else 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Gold transcripts are revealed one token at a time; every update is
 retranslated, run through the configured emission policy, and recorded.
 A run is a pure function of its RunConfig: traces are reproducible
-byte-for-byte regardless of parallelism degree.
+byte-for-byte regardless of parallelism degree, because every sentence
+is an independent session and worker processes only shard sentences.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .core import (
@@ -82,8 +84,9 @@ class RunConfig:
     translator is a plain dict so configs stay serializable:
     {"kind": "toy", "lexicon_path": ..., beam_size/distortion/...}
     or {"kind": "scripted", "script_path": ..., "identity_fallback": ...}.
-    parallelism is an execution detail and is excluded from the
-    serialized form: it must never change results.
+    parallelism is the number of worker processes that simulate
+    sentences; it is an execution detail, excluded from the serialized
+    form, and must never change results.
     """
 
     source_path: str
@@ -95,6 +98,10 @@ class RunConfig:
     lm_path: str | None = None
     ne_mode: str = "mean"
     parallelism: int = 1
+
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
 
     def to_dict(self) -> dict:
         strat = self.strategy
@@ -197,19 +204,21 @@ def load_models(cfg: RunConfig, pairs: list[SentencePair] | None = None) -> Mode
     """
     translator = build_translator(cfg.translator)
     lm = load_lm(cfg.lm_path) if cfg.lm_path else None
-    strat = cfg.strategy
-    if strat.kind == "dynamic":
-        assert strat.predictor is not None
-        if strat.predictor.strategy in ("lm_sample", "lm_greedy") and lm is None:
-            raise MissingLM(
-                f"strategy {strat.predictor.strategy} needs --lm (see train-lm)"
-            )
+    check_lm(cfg.strategy, lm)
     vocab: frozenset[str] | None = None
     if lm is not None:
         vocab = frozenset(lm.vocabulary) - {UNK, EOS}
     elif pairs is not None:
         vocab = frozenset(tok for pair in pairs for tok in pair.source)
     return Models(translator=translator, lm=lm, vocab=vocab)
+
+
+def check_lm(strategy: StrategyConfig, lm: NgramLM | None) -> None:
+    """Raise MissingLM if a dynamic strategy's predictor needs an LM and none is loaded."""
+    if strategy.kind != "dynamic" or lm is not None:
+        return
+    if strategy.predictor.strategy in ("lm_sample", "lm_greedy"):
+        raise MissingLM(f"strategy {strategy.predictor.strategy} needs --lm (see train-lm)")
 
 
 def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionTrace:
@@ -334,13 +343,85 @@ def run_corpus(
         raise CorpusError(f"{cfg.source_path}: empty corpus")
     if models is None:
         models = load_models(cfg, pairs)
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            traces = list(pool.map(lambda p: run_sentence(cfg, p, models), pairs))
+    traces, failure = _simulate([cfg], pairs, models, cfg.parallelism)
+    if failure is not None:
+        raise failure[1]
+    return traces[0], aggregate(cfg.strategy.label, traces[0], ne_mode=cfg.ne_mode)
+
+
+def _simulate(
+    cfgs: list[RunConfig], pairs: list[SentencePair], models: Models, jobs: int
+) -> tuple[list[list[SessionTrace]], tuple[int, Exception] | None]:
+    """Run every config over every sentence; each config's traces by sentence_id.
+
+    With jobs > 1, forked worker processes each take the shard
+    pairs[i::jobs] and run every config over it with their own copy of
+    the models, so a sweep's cross-config cache hits stay inside each
+    worker. Fork hands the models over without pickling them, and the
+    simulation starts no threads that a fork could catch holding a lock.
+    A worker that dies raises BrokenProcessPool here instead of hanging.
+    Where fork does not exist, everything runs in this process.
+
+    On failure the traces are empty and the failure is (config index,
+    exception) of the first error in serial order, config by config and
+    sentence by sentence, so sharding never changes which error is seen.
+    """
+    jobs = min(jobs, len(pairs))
+    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # imported here so that serial runs do not load the process-pool
+        # modules (about 1.3 MiB of resident memory on CPython 3.11)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            jobs,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(cfgs, pairs, models, jobs),
+        ) as pool:
+            shards = list(pool.map(_worker_shard, range(jobs)))
     else:
-        traces = [run_sentence(cfg, pair, models) for pair in pairs]
-    traces.sort(key=lambda tr: tr.sentence_id)
-    return traces, aggregate(cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
+        shards = [_run_shard(cfgs, pairs, models)]
+    failures = [failure for _, failure in shards if failure is not None]
+    if failures:
+        index, _, exc = min(failures, key=lambda failure: failure[:2])
+        return [], (index, exc)
+    return [
+        sorted(
+            chain.from_iterable(traces[c] for traces, _ in shards),
+            key=lambda trace: trace.sentence_id,
+        )
+        for c in range(len(cfgs))
+    ], None
+
+
+def _run_shard(cfgs, pairs, models):
+    """(traces per config, None), or ([], (config index, sentence_id, error)) at the first error."""
+    out = []
+    for index, cfg in enumerate(cfgs):
+        traces = []
+        for pair in pairs:
+            try:
+                traces.append(run_sentence(cfg, pair, models))
+            except Exception as exc:  # returned, so the parent can pick the serial loop's first
+                return [], (index, pair.sentence_id, exc)
+        out.append(traces)
+    return out, None
+
+
+# (cfgs, pairs, models, jobs) of the pool this process works for; set only
+# in forked workers, by the pool's initializer, whose arguments a forked
+# worker inherits rather than unpickles
+_worker_state: tuple | None = None
+
+
+def _init_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_shard(shard: int):
+    cfgs, pairs, models, jobs = _worker_state
+    return _run_shard(cfgs, pairs[shard::jobs], models)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +453,31 @@ def trace_to_dict(trace: SessionTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> SessionTrace:
+    """Rebuild a trace; raises TraceError for a wrong version or missing fields."""
     version = data.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"trace schema version {version}, expected {TRACE_SCHEMA_VERSION}"
         )
-    records = tuple(
-        StepRecord(
-            step_index=rec["step_index"],
-            source_prefix=tuple(rec["source_prefix"]),
-            raw_hypothesis=tuple(rec["raw_hypothesis"]),
-            emitted_output=tuple(rec["emitted_output"]),
-            mask_length=rec["mask_length"],
-            is_final=rec["is_final"],
-            probes=tuple(tuple(p) for p in rec.get("probes", [])),
-            n_translate_calls=rec.get("n_translate_calls", 1),
+    missing = [key for key in ("sentence_id", "records", "final_output") if key not in data]
+    if missing:
+        raise TraceError(f"trace lacks {', '.join(map(repr, missing))}")
+    try:
+        records = tuple(
+            StepRecord(
+                step_index=rec["step_index"],
+                source_prefix=tuple(rec["source_prefix"]),
+                raw_hypothesis=tuple(rec["raw_hypothesis"]),
+                emitted_output=tuple(rec["emitted_output"]),
+                mask_length=rec["mask_length"],
+                is_final=rec["is_final"],
+                probes=tuple(tuple(p) for p in rec.get("probes", [])),
+                n_translate_calls=rec.get("n_translate_calls", 1),
+            )
+            for rec in data["records"]
         )
-        for rec in data["records"]
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise TraceError(f"malformed step record: {type(exc).__name__}: {exc}") from exc
     reference = data.get("reference")
     return SessionTrace(
         sentence_id=data["sentence_id"],
@@ -431,6 +519,10 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc.msg}") from exc
+            if not isinstance(data, dict):
+                raise TraceError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(data).__name__}"
+                )
             kind = data.get("kind")
             if kind == "run_header":
                 version = data.get("schema_version")
@@ -441,7 +533,10 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                     )
                 header = data
             else:
-                traces.append(trace_from_dict(data))
+                try:
+                    traces.append(trace_from_dict(data))
+                except TraceError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return header, traces
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
+from retransim import sim
 from retransim.cli import (
     SweepSpec,
     load_sweep_spec,
@@ -238,7 +242,7 @@ def test_sweep_pareto_and_traces(workspace, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main([
         "sweep", "--spec", str(spec_path), "--out-dir", str(out_dir),
-        "--pareto", "--traces", "--workers", "2",
+        "--pareto", "--traces", "--parallelism", "2",
     ]) == 0
     capsys.readouterr()
     assert (out_dir / "sweep.csv").exists()
@@ -254,17 +258,113 @@ def test_sweep_pareto_and_traces(workspace, tmp_path, capsys):
 
 def test_sweep_workers_do_not_change_results(workspace):
     _, cfg, _ = workspace
-    spec = SweepSpec.from_dict(
-        {
-            "base": cfg.to_dict(),
-            "axes": {"k_mask": [0, 2, 4]},
-            "dynamic_cells": [{"strategy": "random", "k": 2, "n": 2}],
-            "include_oracle": True,
-        }
+    data = {
+        "base": cfg.to_dict(),
+        "axes": {"k_mask": [0, 2, 4]},
+        "dynamic_cells": [{"strategy": "random", "k": 2, "n": 2}],
+        "include_oracle": True,
+    }
+    spec = SweepSpec.from_dict(data)
+    parallel_spec = SweepSpec.from_dict(data, base_parallelism=4)
+    serial = [(c.label, p) for c, p, _ in run_sweep(spec)]
+    parallel = [(c.label, p) for c, p, _ in run_sweep(parallel_spec)]
+    assert serial == parallel
+
+
+def _write_sweep_spec(tmp_path, cfg: RunConfig, **extra) -> Path:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_sweep_spec_dict(cfg, **extra)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parallelism_below_one_exits_2(workspace, tmp_path, capsys, value):
+    tmp_path, cfg, cfg_path = workspace
+    spec_path = _write_sweep_spec(tmp_path, cfg)
+    assert main(["run", "--config", str(cfg_path), "--parallelism", value]) == 2
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out"),
+                 "--parallelism", value]) == 2
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_missing_lm_fails_before_any_work(workspace, tmp_path, capsys, monkeypatch):
+    tmp_path, cfg, _ = workspace
+    spec_path = _write_sweep_spec(
+        tmp_path, cfg, dynamic_cells=[{"strategy": "lm_greedy", "k": 1}]
     )
-    serial = [(c.label, p) for c, p, _ in run_sweep(spec, workers=1)]
-    threaded = [(c.label, p) for c, p, _ in run_sweep(spec, workers=4)]
-    assert serial == threaded
+    simulated = []
+    monkeypatch.setattr(sim, "run_sentence", lambda *args: simulated.append(args))
+    assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cell 'dynamic:lm_greedy,k=1,n=1'" in err and "needs --lm" in err
+    assert simulated == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_worker_errors_match_serial_errors(workspace, tmp_path, capsys, command):
+    """Two workers each fail on a different sentence; the serial run's error wins."""
+    tmp_path, cfg, _ = workspace
+    src_lines = ["a b", "b c", "a q", "c r", "d a", "a b"]
+    ref_lines = ["x y", "y z", "x x", "z z", "w x", "x y"]
+    src, ref = write_corpus(tmp_path, src_lines, ref_lines)
+    broken = RunConfig(**{**cfg.__dict__, "source_path": str(src), "reference_path": str(ref)})
+    cfg_path = tmp_path / "broken.json"
+    save_run_config(broken, cfg_path)
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path), "--strategy", "oracle"]
+    else:
+        spec_path = _write_sweep_spec(tmp_path, broken, include_oracle=True)
+        argv = ["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--parallelism", jobs]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "sentence 2, step 2" in errors[0] and "'q' not in lexicon" in errors[0]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers need fork"
+)
+def test_dead_worker_fails_the_run_instead_of_hanging(workspace, capsys, monkeypatch):
+    _, _, cfg_path = workspace
+    monkeypatch.setattr(sim, "run_sentence", lambda *args: os._exit(3))
+
+    def hung(*_):
+        pytest.fail("the run hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["run", "--config", str(cfg_path), "--parallelism", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert "BrokenProcessPool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"kind": "trace", "schema_version": 1, "final_output": []}',
+         "trace lacks 'sentence_id', 'records'"),
+        ('{"kind": "trace", "schema_version": 1, "sentence_id": 0, "final_output": [],'
+         ' "records": [{"step_index": 1}]}', "malformed step record"),
+    ],
+)
+def test_metrics_malformed_trace_line_exits_2(workspace, tmp_path, capsys, bad_line, problem):
+    tmp_path, _, cfg_path = workspace
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--traces-out", str(traces_path)]) == 0
+    capsys.readouterr()
+    header = traces_path.read_text(encoding="utf-8").splitlines()[0]
+    traces_path.write_text(header + "\n" + bad_line + "\n", encoding="utf-8")
+    assert main(["metrics", "--traces", str(traces_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{traces_path}:2: {problem}" in err
 
 
 def test_pareto_frontier_logic():
