@@ -11,7 +11,9 @@ import statistics
 from pathlib import Path
 
 from retransim import PredictorConfig, RunConfig, StrategyConfig, save_lm, train_lm
-from retransim.cli import SweepSpec, mask_histogram, pareto_frontier, run_sweep, write_points_csv
+from retransim.cli import write_points_csv
+from retransim.metrics import mask_histogram, pareto_frontier
+from retransim.sim import SweepSpec, run_sweep
 from retransim.core import tokenize
 from retransim.synthetic import write_synthetic, toy_translator_spec
 

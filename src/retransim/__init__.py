@@ -42,8 +42,8 @@ from .sim import (
     write_traces,
 )
 from .strategy import (
-    EmissionState,
     StrategyConfig,
+    emit,
     emit_dynamic,
     emit_mask_k,
     emit_none,
@@ -72,7 +72,6 @@ __all__ = [
     "CachingTranslator",
     "DecoderState",
     "EOS",
-    "EmissionState",
     "Models",
     "NgramLM",
     "PredictorConfig",
@@ -92,6 +91,7 @@ __all__ = [
     "aggregate",
     "average_lag",
     "corpus_bleu",
+    "emit",
     "emit_dynamic",
     "emit_mask_k",
     "emit_none",

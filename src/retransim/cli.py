@@ -11,15 +11,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import re
 import sys
-from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CorpusError, SessionTrace, read_corpus, read_lines, tokenize
-from .metrics import MetricsError, TradeoffPoint, aggregate
+from .core import CorpusError, SessionTrace, read_lines, tokenize
+from .metrics import MetricsError, TradeoffPoint, aggregate, mask_histogram, pareto_frontier
 from .predict import (
     EmptyCorpus,
     LMFormatError,
@@ -32,17 +28,20 @@ from .sim import (
     ConfigError,
     RunConfig,
     SimulationError,
+    SweepCellError,
     TraceError,
-    _simulate,
-    check_lm,
+    TraceInvariantError,
     config_hash,
-    load_models,
     load_run_config,
+    load_sweep_spec,
     read_traces,
     run_corpus,
+    run_sweep,
     save_run_config,
+    validate_trace,
     write_traces,
 )
+from .sim import SweepSpec, load_models  # noqa: F401  re-exported: callers read cli.<name>
 from .strategy import StrategyConfig
 from .synthetic import toy_translator_spec, write_synthetic
 from .translator import ParseError, TranslatorError
@@ -62,172 +61,6 @@ _INPUT_ERRORS = (
     SimulationError,
     ValueError,
 )
-
-
-class SweepCellError(Exception):
-    """A sweep cell failed; message carries the cell's label, __cause__ the error."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid of strategies over one base run configuration.
-
-    mask-k cells are the cross product of k_mask and bias_beta; dynamic
-    cells come from the predictor axes' cross product and/or an explicit
-    cell list, again crossed with bias_beta. Every cell must map to a
-    unique strategy label.
-    """
-
-    base: RunConfig
-    k_mask: tuple[int, ...] = ()
-    bias_beta: tuple[float, ...] = (0.0,)
-    predictor_strategy: tuple[str, ...] = ()
-    predictor_k: tuple[int, ...] = ()
-    predictor_n: tuple[int, ...] = ()
-    dynamic_cells: tuple[PredictorConfig, ...] = ()
-    include_none: bool = False
-    include_oracle: bool = False
-
-    def cells(self) -> list[StrategyConfig]:
-        betas = self.bias_beta or (0.0,)
-        out: list[StrategyConfig] = []
-        if self.include_none:
-            out.extend(StrategyConfig("none", bias_beta=b) for b in betas)
-        if self.include_oracle:
-            out.append(StrategyConfig("oracle"))
-        for k in self.k_mask:
-            out.extend(StrategyConfig("mask_k", k_mask=k, bias_beta=b) for b in betas)
-        predictors = list(self.dynamic_cells)
-        for strat in self.predictor_strategy:
-            for k in self.predictor_k or (1,):
-                for n in self.predictor_n or (1,):
-                    predictors.append(PredictorConfig(strategy=strat, k=k, n=n))
-        seen_preds = set()
-        for pred in predictors:
-            if pred.label in seen_preds:
-                continue
-            seen_preds.add(pred.label)
-            out.extend(
-                StrategyConfig("dynamic", predictor=pred, bias_beta=b) for b in betas
-            )
-        labels = Counter(cell.label for cell in out)
-        dupes = [label for label, c in labels.items() if c > 1]
-        if dupes:
-            raise ConfigError(f"duplicate sweep cell labels: {dupes}")
-        if not out:
-            raise ConfigError("sweep defines no cells")
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict, base_parallelism: int = 1) -> "SweepSpec":
-        base = RunConfig.from_dict(data["base"], parallelism=base_parallelism)
-        axes = data.get("axes", {})
-        cells = tuple(
-            PredictorConfig(**cell) for cell in data.get("dynamic_cells", [])
-        )
-        return cls(
-            base=base,
-            k_mask=tuple(axes.get("k_mask", [])),
-            bias_beta=tuple(axes.get("bias_beta", [0.0])),
-            predictor_strategy=tuple(axes.get("predictor_strategy", [])),
-            predictor_k=tuple(axes.get("predictor_k", [])),
-            predictor_n=tuple(axes.get("predictor_n", [])),
-            dynamic_cells=cells,
-            include_none=bool(data.get("include_none", False)),
-            include_oracle=bool(data.get("include_oracle", False)),
-        )
-
-
-def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if "base" not in data:
-        raise ConfigError(f"{path}: sweep spec needs a 'base' run config")
-    return SweepSpec.from_dict(data, base_parallelism=parallelism)
-
-
-def run_sweep(
-    spec: SweepSpec,
-    out_dir: str | Path | None = None,
-    write_cell_traces: bool = False,
-) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
-    """Run every cell; results come back sorted by strategy label.
-
-    Every cell's LM needs are checked before any work starts. The
-    translator (and its memo cache) is shared across cells, which is
-    sound because translators are pure functions of their inputs; with
-    spec.base.parallelism > 1 each worker process shares its own copy
-    across cells, over its shard of sentences.
-    """
-    base = spec.base
-    pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
-    if not pairs:
-        raise CorpusError(f"{base.source_path}: empty corpus")
-    models = load_models(base, pairs)
-    cells = spec.cells()
-    for cell in cells:
-        try:
-            check_lm(cell, models.lm)
-        except PredictorError as exc:
-            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-    cfgs = [dataclasses.replace(base, strategy=cell) for cell in cells]
-    traces, failure = _simulate(cfgs, pairs, models, base.parallelism)
-    if failure is not None:
-        index, exc = failure
-        raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
-
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    results = []
-    for cell, cfg, cell_traces in zip(cells, cfgs, traces):
-        try:
-            point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
-        except MetricsError as exc:
-            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-        if out_path is not None and write_cell_traces:
-            name = _safe_filename(cell.label) + ".jsonl"
-            _atomic_write_traces(out_path / name, cell_traces, cfg)
-        results.append((cell, point, cell_traces))
-    results.sort(key=lambda item: item[0].label)
-    return results
-
-
-def _safe_filename(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._=,+-]", "_", label)
-
-
-def _atomic_write_traces(path: Path, traces, cfg) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_traces(tmp, traces, cfg)
-    os.replace(tmp, path)
-
-
-def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
-    """Points not dominated on (AL, NE), both minimized."""
-    frontier = []
-    for p in points:
-        dominated = any(
-            q.al <= p.al and q.ne <= p.ne and (q.al < p.al or q.ne < p.ne)
-            for q in points
-        )
-        if not dominated:
-            frontier.append(p)
-    frontier.sort(key=lambda p: (p.al, p.ne, p.strategy_label))
-    return frontier
-
-
-def mask_histogram(traces: list[SessionTrace]) -> dict[int, int]:
-    """mask_length -> count over all non-final step records."""
-    counts: Counter[int] = Counter()
-    for trace in traces:
-        for rec in trace.records:
-            if not rec.is_final:
-                counts[rec.mask_length] += 1
-    return dict(sorted(counts.items()))
 
 
 def write_points_csv(path: str | Path, points: list[TradeoffPoint]) -> None:
@@ -362,24 +195,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label_from_header(header: dict | None, fallback: str) -> tuple[str, str]:
-    if header and "config" in header:
+def _read_valid_traces(path: str) -> tuple[RunConfig | None, list[SessionTrace]]:
+    """Read a trace file and validate every trace before anything scores it.
+
+    With a run header, each trace's emissions are replayed under the
+    header's strategy; without one only the structural checks run.
+    """
+    header, traces = read_traces(path)
+    if not traces:
+        raise TraceError(f"{path}: no traces")
+    cfg = None
+    if header is not None:
         try:
-            cfg = RunConfig.from_dict(header["config"])
-            return cfg.strategy.label, cfg.ne_mode
-        except ConfigError:
-            pass
-    return fallback, "mean"
+            cfg = RunConfig.from_dict(header.get("config"))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: run header: {exc}") from exc
+    for trace in traces:
+        try:
+            validate_trace(trace, cfg.strategy if cfg else None)
+        except TraceInvariantError as exc:
+            raise TraceInvariantError(f"{path}: {exc}") from exc
+    return cfg, traces
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    header, traces = read_traces(args.traces)
-    if not traces:
-        raise TraceError(f"{args.traces}: no traces")
-    label, ne_mode = _label_from_header(header, args.label or "unknown")
-    if args.label:
-        label = args.label
-    point = aggregate(label, traces, ne_mode=ne_mode)
+    cfg, traces = _read_valid_traces(args.traces)
+    label = args.label or (cfg.strategy.label if cfg else "unknown")
+    point = aggregate(label, traces, ne_mode=cfg.ne_mode if cfg else "mean")
     if args.out:
         write_points_csv(args.out, [point])
     print(TradeoffPoint.CSV_HEADER)
@@ -388,9 +230,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_mask_hist(args: argparse.Namespace) -> int:
-    header, traces = read_traces(args.traces)
-    if not traces:
-        raise TraceError(f"{args.traces}: no traces")
+    _, traces = _read_valid_traces(args.traces)
     hist = mask_histogram(traces)
     if args.csv:
         print("mask_length,count")

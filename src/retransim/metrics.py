@@ -66,7 +66,10 @@ def average_lag(trace: SessionTrace) -> float:
 
 
 def erased_between(previous: TokenSeq, current: TokenSeq) -> int:
-    """Tokens that must be deleted from previous to display current."""
+    """Tokens that must be deleted from previous to display current.
+
+    Of a step's hypothesis and display, it is the step's mask length.
+    """
     return len(previous) - len(longest_common_prefix(previous, current))
 
 
@@ -186,3 +189,27 @@ def aggregate(
         [tr.reference for tr in ordered],  # type: ignore[misc]
     )
     return TradeoffPoint(strategy_label, al, ne, bleu, len(ordered))
+
+
+def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
+    """Points not dominated on (AL, NE), both minimized."""
+    frontier = []
+    for p in points:
+        dominated = any(
+            q.al <= p.al and q.ne <= p.ne and (q.al < p.al or q.ne < p.ne)
+            for q in points
+        )
+        if not dominated:
+            frontier.append(p)
+    frontier.sort(key=lambda p: (p.al, p.ne, p.strategy_label))
+    return frontier
+
+
+def mask_histogram(traces: list[SessionTrace]) -> dict[int, int]:
+    """mask_length -> count over all non-final step records."""
+    counts: Counter[int] = Counter()
+    for trace in traces:
+        for rec in trace.records:
+            if not rec.is_final:
+                counts[rec.mask_length] += 1
+    return dict(sorted(counts.items()))

@@ -5,6 +5,8 @@ retranslated, run through the configured emission policy, and recorded.
 A run is a pure function of its RunConfig: traces are reproducible
 byte-for-byte regardless of parallelism degree, because every sentence
 is an independent session and worker processes only shard sentences.
+Sweeps run a grid of strategies over one base config; validate_trace
+replays a recorded session through the same emission policy.
 """
 
 from __future__ import annotations
@@ -13,29 +15,17 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .core import (
-    CorpusError,
-    SentencePair,
-    SessionTrace,
-    StepRecord,
-    TokenSeq,
-    longest_common_prefix,
-    read_corpus,
-)
-from .metrics import TradeoffPoint, aggregate
-from .predict import EOS, UNK, MissingLM, NgramLM, load_lm, predict_extensions
-from .strategy import (
-    EmissionState,
-    StrategyConfig,
-    emit_dynamic,
-    emit_mask_k,
-    emit_none,
-    emit_oracle,
-)
+from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
+from .metrics import MetricsError, TradeoffPoint, aggregate, erased_between
+from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
+from .strategy import StrategyConfig, emit
 from .translator import (
     BiasSpec,
     CachingTranslator,
@@ -127,8 +117,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, parallelism: int = 1) -> "RunConfig":
-        from .predict import PredictorConfig
-
         try:
             strat_data = dict(data["strategy"])
             pred_data = strat_data.pop("predictor", None)
@@ -170,7 +158,7 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 
 
 def build_translator(spec: dict):
-    """Instantiate a translator from its config dict, wrapped in a cache."""
+    """Instantiate a translator from its config dict, wrapped in a cache (translators are pure)."""
     kind = spec.get("kind")
     if kind == "scripted":
         translator = load_script(
@@ -182,9 +170,7 @@ def build_translator(spec: dict):
         translator = ToyLexicalTranslator(load_lexicon(spec["lexicon_path"], **params))
     else:
         raise ConfigError(f"unknown translator kind {kind!r}")
-    if spec.get("cache", True):
-        translator = CachingTranslator(translator)
-    return translator
+    return CachingTranslator(translator)
 
 
 @dataclass
@@ -234,7 +220,7 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
         # also mixes sentence_id, so results are order-independent
         predictor = dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
 
-    state = EmissionState(sentence_id=pair.sentence_id)
+    previous: TokenSeq = ()
     full_translation: TokenSeq | None = None
     if strat.kind == "oracle":
         full_translation = _checked(
@@ -248,8 +234,8 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
         prefix = source[:i]
         is_final = i == len(source)
         bias = None
-        if strat.bias_beta > 0.0 and strat.kind != "oracle" and state.previous_output:
-            bias = BiasSpec(state.previous_output, strat.bias_beta)
+        if strat.bias_beta > 0.0 and previous:
+            bias = BiasSpec(previous, strat.bias_beta)
 
         calls = 1
         if strat.kind == "oracle" and is_final:
@@ -289,31 +275,20 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
             )
             calls += len(extensions)
 
-        if strat.kind == "none":
-            output = emit_none(hyp)
-        elif strat.kind == "mask_k":
-            output = emit_mask_k(hyp, strat.k_mask, is_final)
-        elif strat.kind == "dynamic":
-            output, _ = emit_dynamic(hyp, probe_outputs, state, is_final)
-        else:
-            assert full_translation is not None
-            output = emit_oracle(hyp, full_translation, is_final, state.previous_output)
-
-        mask = len(hyp) - len(longest_common_prefix(hyp, output))
+        output = emit(strat, hyp, probe_outputs, previous, is_final, full_translation)
         records.append(
             StepRecord(
                 step_index=i,
                 source_prefix=prefix,
                 raw_hypothesis=hyp,
                 emitted_output=output,
-                mask_length=mask,
+                mask_length=erased_between(hyp, output),
                 is_final=is_final,
                 probes=probe_outputs,
                 n_translate_calls=calls,
             )
         )
-        state.previous_output = output
-        state.step_index = i
+        previous = output
 
     return SessionTrace(
         sentence_id=pair.sentence_id,
@@ -422,6 +397,153 @@ def _init_worker(*state) -> None:
 def _worker_shard(shard: int):
     cfgs, pairs, models, jobs = _worker_state
     return _run_shard(cfgs, pairs[shard::jobs], models)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: a grid of strategies over one base run configuration
+# ---------------------------------------------------------------------------
+
+
+class SweepCellError(Exception):
+    """A sweep cell failed; message carries the cell's label, __cause__ the error."""
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A grid of strategies over one base run configuration.
+
+    mask-k cells are the cross product of k_mask and bias_beta; dynamic
+    cells come from the predictor axes' cross product and/or an explicit
+    cell list, again crossed with bias_beta. Every cell must map to a
+    unique strategy label.
+    """
+
+    base: RunConfig
+    k_mask: tuple[int, ...] = ()
+    bias_beta: tuple[float, ...] = (0.0,)
+    predictor_strategy: tuple[str, ...] = ()
+    predictor_k: tuple[int, ...] = ()
+    predictor_n: tuple[int, ...] = ()
+    dynamic_cells: tuple[PredictorConfig, ...] = ()
+    include_none: bool = False
+    include_oracle: bool = False
+
+    def cells(self) -> list[StrategyConfig]:
+        betas = self.bias_beta or (0.0,)
+        out: list[StrategyConfig] = []
+        if self.include_none:
+            out.extend(StrategyConfig("none", bias_beta=b) for b in betas)
+        if self.include_oracle:
+            out.append(StrategyConfig("oracle"))
+        for k in self.k_mask:
+            out.extend(StrategyConfig("mask_k", k_mask=k, bias_beta=b) for b in betas)
+        predictors = list(self.dynamic_cells)
+        for strat in self.predictor_strategy:
+            for k in self.predictor_k or (1,):
+                for n in self.predictor_n or (1,):
+                    predictors.append(PredictorConfig(strategy=strat, k=k, n=n))
+        seen_preds = set()
+        for pred in predictors:
+            if pred.label in seen_preds:
+                continue
+            seen_preds.add(pred.label)
+            out.extend(
+                StrategyConfig("dynamic", predictor=pred, bias_beta=b) for b in betas
+            )
+        labels = Counter(cell.label for cell in out)
+        dupes = [label for label, c in labels.items() if c > 1]
+        if dupes:
+            raise ConfigError(f"duplicate sweep cell labels: {dupes}")
+        if not out:
+            raise ConfigError("sweep defines no cells")
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict, base_parallelism: int = 1) -> "SweepSpec":
+        base = RunConfig.from_dict(data["base"], parallelism=base_parallelism)
+        axes = data.get("axes", {})
+        cells = tuple(
+            PredictorConfig(**cell) for cell in data.get("dynamic_cells", [])
+        )
+        return cls(
+            base=base,
+            k_mask=tuple(axes.get("k_mask", [])),
+            bias_beta=tuple(axes.get("bias_beta", [0.0])),
+            predictor_strategy=tuple(axes.get("predictor_strategy", [])),
+            predictor_k=tuple(axes.get("predictor_k", [])),
+            predictor_n=tuple(axes.get("predictor_n", [])),
+            dynamic_cells=cells,
+            include_none=bool(data.get("include_none", False)),
+            include_oracle=bool(data.get("include_oracle", False)),
+        )
+
+
+def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if "base" not in data:
+        raise ConfigError(f"{path}: sweep spec needs a 'base' run config")
+    return SweepSpec.from_dict(data, base_parallelism=parallelism)
+
+
+def run_sweep(
+    spec: SweepSpec,
+    out_dir: str | Path | None = None,
+    write_cell_traces: bool = False,
+) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
+    """Run every cell; results come back sorted by strategy label.
+
+    Every cell's LM needs are checked before any work starts. The
+    translator (and its memo cache) is shared across cells, which is
+    sound because translators are pure functions of their inputs; with
+    spec.base.parallelism > 1 each worker process shares its own copy
+    across cells, over its shard of sentences.
+    """
+    base = spec.base
+    pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
+    if not pairs:
+        raise CorpusError(f"{base.source_path}: empty corpus")
+    models = load_models(base, pairs)
+    cells = spec.cells()
+    for cell in cells:
+        try:
+            check_lm(cell, models.lm)
+        except MissingLM as exc:
+            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
+    cfgs = [dataclasses.replace(base, strategy=cell) for cell in cells]
+    traces, failure = _simulate(cfgs, pairs, models, base.parallelism)
+    if failure is not None:
+        index, exc = failure
+        raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
+
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+    results = []
+    for cell, cfg, cell_traces in zip(cells, cfgs, traces):
+        try:
+            point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
+        except MetricsError as exc:
+            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
+        if out_path is not None and write_cell_traces:
+            name = _safe_filename(cell.label) + ".jsonl"
+            _atomic_write_traces(out_path / name, cell_traces, cfg)
+        results.append((cell, point, cell_traces))
+    results.sort(key=lambda item: item[0].label)
+    return results
+
+
+def _safe_filename(label: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._=,+-]", "_", label)
+
+
+def _atomic_write_traces(path: Path, traces, cfg) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    write_traces(tmp, traces, cfg)
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +663,13 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
 
 
 def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) -> None:
-    """Check the session invariants; raises TraceInvariantError on violation."""
+    """Check the session invariants; raises TraceInvariantError on violation.
+
+    With a strategy, every step's emission is replayed from the recorded
+    hypothesis, probes and previous display, and the recorded output
+    must equal the replay exactly. The oracle's full-sentence
+    translation is the last step's hypothesis.
+    """
     if not trace.records:
         raise TraceInvariantError(f"sentence {trace.sentence_id}: no records")
     source = trace.records[-1].source_prefix
@@ -550,6 +678,7 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
             f"sentence {trace.sentence_id}: {len(trace.records)} records "
             f"for {len(source)} source tokens"
         )
+    full = trace.records[-1].raw_hypothesis
     previous: TokenSeq = ()
     for pos, rec in enumerate(trace.records, start=1):
         where = f"sentence {trace.sentence_id}, step {pos}"
@@ -559,15 +688,22 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
             raise TraceInvariantError(f"{where}: source_prefix is not source[:{pos}]")
         if rec.is_final != (pos == len(source)):
             raise TraceInvariantError(f"{where}: bad is_final flag")
-        expected_mask = len(rec.raw_hypothesis) - len(
-            longest_common_prefix(rec.raw_hypothesis, rec.emitted_output)
-        )
+        expected_mask = erased_between(rec.raw_hypothesis, rec.emitted_output)
         if rec.mask_length != expected_mask:
             raise TraceInvariantError(
                 f"{where}: mask_length {rec.mask_length}, expected {expected_mask}"
             )
         if strategy is not None:
-            _check_strategy_output(strategy, rec, previous, where)
+            try:
+                replayed = emit(
+                    strategy, rec.raw_hypothesis, rec.probes, previous, rec.is_final, full
+                )
+            except ValueError as exc:
+                raise TraceInvariantError(f"{where}: {exc}") from exc
+            if rec.emitted_output != replayed:
+                raise TraceInvariantError(
+                    f"{where}: emitted {list(rec.emitted_output)}, replayed {list(replayed)}"
+                )
         previous = rec.emitted_output
     last = trace.records[-1]
     if trace.final_output != last.emitted_output or last.emitted_output != last.raw_hypothesis:
@@ -575,26 +711,3 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
             f"sentence {trace.sentence_id}: final output must equal the last "
             "hypothesis, unmasked"
         )
-
-
-def _check_strategy_output(
-    strategy: StrategyConfig, rec: StepRecord, previous: TokenSeq, where: str
-) -> None:
-    hyp, out = rec.raw_hypothesis, rec.emitted_output
-    if rec.is_final:
-        if out != hyp:
-            raise TraceInvariantError(f"{where}: final step must be unmasked")
-        return
-    if strategy.kind == "none" and out != hyp:
-        raise TraceInvariantError(f"{where}: plain retranslation must not mask")
-    elif strategy.kind == "mask_k":
-        if out != hyp[: max(len(hyp) - strategy.k_mask, 0)]:
-            raise TraceInvariantError(f"{where}: output is not hypothesis minus {strategy.k_mask}")
-    elif strategy.kind == "dynamic":
-        if out != previous and out != longest_common_prefix(hyp, out):
-            raise TraceInvariantError(
-                f"{where}: dynamic output must be a hypothesis prefix or the previous output"
-            )
-    elif strategy.kind == "oracle":
-        if longest_common_prefix(previous, out) != previous:
-            raise TraceInvariantError(f"{where}: oracle output shrank")

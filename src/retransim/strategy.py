@@ -20,15 +20,6 @@ from .predict import PredictorConfig
 KINDS = ("none", "mask_k", "dynamic", "oracle")
 
 
-@dataclass
-class EmissionState:
-    """Per-sentence strategy state: the output currently on display."""
-
-    sentence_id: int
-    step_index: int = 0
-    previous_output: TokenSeq = ()
-
-
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which emission policy to run and its parameters.
@@ -72,6 +63,30 @@ class StrategyConfig:
         return base
 
 
+def emit(
+    strategy: StrategyConfig,
+    hypothesis: TokenSeq,
+    probes: tuple[TokenSeq, ...],
+    previous: TokenSeq,
+    is_final: bool,
+    full: TokenSeq | None,
+) -> TokenSeq:
+    """The output the strategy displays for one step, when running or replaying a session.
+
+    probes are the probe translations (dynamic), previous the output of
+    the step before, full the full-sentence translation (oracle). The
+    emit_* functions are looked up at call time, so wrappers see every call.
+    """
+    kind = strategy.kind
+    if kind == "none":
+        return emit_none(hypothesis)
+    if kind == "mask_k":
+        return emit_mask_k(hypothesis, strategy.k_mask, is_final)
+    if kind == "dynamic":
+        return emit_dynamic(hypothesis, probes, previous, is_final)
+    return emit_oracle(hypothesis, full, is_final, previous)
+
+
 def emit_none(hypothesis: TokenSeq) -> TokenSeq:
     """Plain retranslation: display the hypothesis as-is."""
     return hypothesis
@@ -89,30 +104,26 @@ def emit_mask_k(hypothesis: TokenSeq, k: int, is_final: bool) -> TokenSeq:
 def emit_dynamic(
     hypothesis: TokenSeq,
     probe_translations: list[TokenSeq] | tuple[TokenSeq, ...],
-    state: EmissionState,
+    previous_output: TokenSeq,
     is_final: bool,
-) -> tuple[TokenSeq, int]:
+) -> TokenSeq:
     """Mask back to the common prefix of the hypothesis and all probes.
 
     The candidate output is the simultaneous longest common prefix of the
     hypothesis and every probe translation. If that candidate is a prefix
     of what is already displayed, the display is frozen (the previous
-    output is emitted again) rather than shrunk. Returns the output and
-    the mask length |hypothesis| - |LCP(hypothesis, output)|.
+    output is emitted again) rather than shrunk.
     """
     if is_final:
-        return hypothesis, 0
+        return hypothesis
     if not probe_translations:
         raise ValueError("dynamic masking needs at least one probe on non-final steps")
     agreed = hypothesis
     for probe in probe_translations:
         agreed = longest_common_prefix(agreed, probe)
-    if is_prefix(agreed, state.previous_output):
-        output = state.previous_output
-    else:
-        output = agreed
-    mask = len(hypothesis) - len(longest_common_prefix(hypothesis, output))
-    return output, mask
+    if is_prefix(agreed, previous_output):
+        return previous_output
+    return agreed
 
 
 def emit_oracle(

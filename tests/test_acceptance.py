@@ -31,7 +31,7 @@ from retransim.sim import (
 from retransim.strategy import StrategyConfig
 from retransim.translator import BiasSpec, ToyLexicalTranslator, load_lexicon, load_script
 from retransim.synthetic import write_synthetic, toy_translator_spec
-from retransim.cli import mask_histogram
+from retransim.metrics import mask_histogram
 from retransim.sim import run_sentence
 from conftest import pairs_from, seq
 

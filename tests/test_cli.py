@@ -9,15 +9,9 @@ from pathlib import Path
 import pytest
 
 from retransim import sim
-from retransim.cli import (
-    SweepSpec,
-    load_sweep_spec,
-    main,
-    mask_histogram,
-    pareto_frontier,
-    run_sweep,
-)
-from retransim.metrics import TradeoffPoint
+from retransim.cli import main
+from retransim.metrics import TradeoffPoint, mask_histogram, pareto_frontier
+from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
 from retransim.predict import load_lm
 from retransim.sim import ConfigError, RunConfig, read_traces, save_run_config
 from retransim.strategy import StrategyConfig
@@ -365,6 +359,48 @@ def test_metrics_malformed_trace_line_exits_2(workspace, tmp_path, capsys, bad_l
     assert main(["metrics", "--traces", str(traces_path)]) == 2
     err = capsys.readouterr().err
     assert f"{traces_path}:2: {problem}" in err
+
+
+def _blank_one_display(header, traces):
+    for trace in traces:
+        for rec in trace["records"][:-1]:
+            if rec["emitted_output"]:
+                rec["mask_length"] = len(rec["raw_hypothesis"])
+                rec["emitted_output"] = []
+                return f"sentence {trace['sentence_id']}, step {rec['step_index']}: emitted []"
+    raise AssertionError("no displayed non-final step")
+
+
+def _renumber_first_step(header, traces):
+    traces[0]["records"][0]["step_index"] = 7
+    return f"sentence {traces[0]['sentence_id']}, step 1: step_index 7"
+
+
+def _break_header_config(header, traces):
+    header["config"] = {"strategy": {"kind": "bogus"}}
+    return "run header: bad run config"
+
+
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize(
+    "tamper", [_blank_one_display, _renumber_first_step, _break_header_config]
+)
+def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
+    tmp_path, _, cfg_path = workspace
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--strategy", "dynamic",
+                 "--predictor", "random", "--pred-k", "2", "--pred-n", "2",
+                 "--traces-out", str(traces_path)]) == 0
+    header, *traces = map(json.loads, traces_path.read_text(encoding="utf-8").splitlines())
+    problem = tamper(header, traces)
+    traces_path.write_text(
+        "".join(json.dumps(line) + "\n" for line in (header, *traces)), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main([command, "--traces", str(traces_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{traces_path}: {problem}" in captured.err
+    assert captured.out == ""
 
 
 def test_pareto_frontier_logic():

@@ -4,9 +4,11 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from retransim.core import CorpusLengthMismatch
-from retransim.metrics import aggregate, normalized_erasure
+from retransim.core import CorpusLengthMismatch, SessionTrace, StepRecord
+from retransim.metrics import aggregate, erased_between, normalized_erasure
 from retransim.predict import PredictorConfig, save_lm, train_lm
 from retransim.sim import (
     ConfigError,
@@ -26,7 +28,7 @@ from retransim.sim import (
     validate_trace,
     write_traces,
 )
-from retransim.strategy import StrategyConfig
+from retransim.strategy import StrategyConfig, emit
 from retransim.translator import ScriptedTranslator
 from conftest import ONE_TO_ONE_LEXICON, pairs_from, seq, write_corpus
 
@@ -214,6 +216,76 @@ def test_validate_trace_catches_corruption(tmp_path):
         validate_trace(dataclasses.replace(good, records=good.records[:-1]))
     with pytest.raises(TraceInvariantError):
         validate_trace(dataclasses.replace(good, final_output=("wrong",)))
+
+    dynamic = StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2))
+    traces, _ = run_corpus(_noisy_corpus_config(tmp_path, dynamic))
+    trace = max(traces, key=lambda tr: len(tr.records))
+    validate_trace(trace, dynamic)
+    pos = next(
+        i for i, rec in enumerate(trace.records)
+        if not rec.is_final and rec.emitted_output
+    )
+    rec = trace.records[pos]
+    blanked = dataclasses.replace(rec, emitted_output=(), mask_length=len(rec.raw_hypothesis))
+    unprobed = dataclasses.replace(rec, probes=())
+    for changed in (blanked, unprobed):
+        records = trace.records[:pos] + (changed,) + trace.records[pos + 1:]
+        tampered = dataclasses.replace(trace, records=records)
+        validate_trace(tampered)  # structurally sound
+        with pytest.raises(
+            TraceInvariantError, match=f"sentence {trace.sentence_id}, step {pos + 1}:"
+        ):
+            validate_trace(tampered, dynamic)
+
+
+TOKENS = st.lists(st.sampled_from("pqrs"), max_size=5).map(tuple)
+POLICIES = (
+    StrategyConfig("none"),
+    StrategyConfig("mask_k", k_mask=2),
+    StrategyConfig("dynamic", predictor=PredictorConfig("unknown", k=1)),
+    StrategyConfig("oracle"),
+)
+
+
+@st.composite
+def emitted_traces(draw):
+    """A strategy and a trace whose every output is that strategy's emit."""
+    strategy = draw(st.sampled_from(POLICIES))
+    hyps = draw(st.lists(TOKENS, min_size=1, max_size=6))
+    records = []
+    previous = ()
+    for i, hyp in enumerate(hyps, start=1):
+        is_final = i == len(hyps)
+        probes = ()
+        if strategy.kind == "dynamic" and not is_final:
+            probes = tuple(draw(st.lists(TOKENS, min_size=1, max_size=3)))
+        out = emit(strategy, hyp, probes, previous, is_final, hyps[-1])
+        source = tuple(f"s{j}" for j in range(i))
+        records.append(
+            StepRecord(i, source, hyp, out, erased_between(hyp, out), is_final, probes)
+        )
+        previous = out
+    return strategy, SessionTrace(0, tuple(records), previous)
+
+
+@settings(deadline=None)  # a loaded host must not fail a correct example
+@given(emitted_traces(), st.data())
+def test_replay_accepts_emitted_traces_and_rejects_any_changed_output(case, data):
+    strategy, trace = case
+    validate_trace(trace, strategy)
+    assume(len(trace.records) > 1)
+    pos = data.draw(st.integers(0, len(trace.records) - 2))
+    rec = trace.records[pos]
+    out = data.draw(TOKENS.filter(lambda tokens: tokens != rec.emitted_output))
+    changed = dataclasses.replace(
+        rec, emitted_output=out, mask_length=erased_between(rec.raw_hypothesis, out)
+    )
+    tampered = dataclasses.replace(
+        trace, records=trace.records[:pos] + (changed,) + trace.records[pos + 1:]
+    )
+    validate_trace(tampered)  # structurally sound, so only the replay can object
+    with pytest.raises(TraceInvariantError, match=f"step {pos + 1}:"):
+        validate_trace(tampered, strategy)
 
 
 def test_every_strategy_produces_valid_traces(tmp_path):

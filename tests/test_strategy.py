@@ -5,9 +5,9 @@ import random
 import pytest
 
 from retransim.core import is_prefix, longest_common_prefix
+from retransim.metrics import erased_between
 from retransim.predict import PredictorConfig
 from retransim.strategy import (
-    EmissionState,
     StrategyConfig,
     emit_dynamic,
     emit_mask_k,
@@ -41,22 +41,19 @@ def test_mask_k_larger_masks_never_lengthen_output():
             assert is_prefix(shorter, longer)
 
 
-def _state(prev: str = "") -> EmissionState:
-    return EmissionState(sentence_id=0, step_index=1, previous_output=seq(prev))
-
-
 def test_emit_dynamic_masks_to_common_prefix():
-    out, mask = emit_dynamic(seq("p q r"), [seq("p q s t")], _state(), is_final=False)
+    hyp = seq("p q r")
+    out = emit_dynamic(hyp, [seq("p q s t")], (), is_final=False)
     assert out == ("p", "q")
-    assert mask == 1
+    assert erased_between(hyp, out) == 1
 
 
 def test_emit_dynamic_word_order_uncertainty():
     hyp = seq("Aber Sie wissen es")
     probe = seq("Aber wissen Sie , sie wissen schon")
-    out, mask = emit_dynamic(hyp, [probe], _state(), is_final=False)
+    out = emit_dynamic(hyp, [probe], (), is_final=False)
     assert out == ("Aber",)
-    assert mask == 3
+    assert erased_between(hyp, out) == 3
 
 
 def test_emit_dynamic_freeze_rule():
@@ -66,33 +63,35 @@ def test_emit_dynamic_freeze_rule():
     hyp = seq("Um zu Paraphrasen: Es ist nicht die Stärke der Dinge")
     probe = seq("Zum paraphrasen: Es ist nicht die stärksten der Welt")
     assert longest_common_prefix(hyp, probe) == ()
-    out, mask = emit_dynamic(hyp, [probe], _state(prev), is_final=False)
+    out = emit_dynamic(hyp, [probe], seq(prev), is_final=False)
     assert out == seq(prev)
     # display kept the stable first two tokens, so only the tail counts as masked
-    assert mask == len(hyp) - 2
+    assert erased_between(hyp, out) == len(hyp) - 2
 
 
 def test_emit_dynamic_freeze_when_equal():
-    out, _ = emit_dynamic(seq("p q r"), [seq("p q")], _state("p q"), is_final=False)
+    out = emit_dynamic(seq("p q r"), [seq("p q")], seq("p q"), is_final=False)
     assert out == ("p", "q")
 
 
 def test_emit_dynamic_final_is_unmasked():
-    out, mask = emit_dynamic(seq("p q r"), [], _state("x"), is_final=True)
+    hyp = seq("p q r")
+    out = emit_dynamic(hyp, [], seq("x"), is_final=True)
     assert out == ("p", "q", "r")
-    assert mask == 0
+    assert erased_between(hyp, out) == 0
 
 
 def test_emit_dynamic_requires_probes_before_final():
     with pytest.raises(ValueError):
-        emit_dynamic(seq("p q"), [], _state(), is_final=False)
+        emit_dynamic(seq("p q"), [], (), is_final=False)
 
 
 def test_emit_dynamic_multi_probe_intersection():
     probes = [seq("p q r x"), seq("p q y"), seq("p z")]
-    out, mask = emit_dynamic(seq("p q r"), probes, _state(), is_final=False)
+    hyp = seq("p q r")
+    out = emit_dynamic(hyp, probes, (), is_final=False)
     assert out == ("p",)
-    assert mask == 2
+    assert erased_between(hyp, out) == 2
 
 
 def test_emit_dynamic_output_shape_property():
@@ -107,11 +106,9 @@ def test_emit_dynamic_output_shape_property():
             for _ in range(rng.randrange(1, 4))
         ]
         prev = tuple(rng.choice(toks) for _ in range(rng.randrange(0, 6)))
-        out, mask = emit_dynamic(hyp, probes, _state(" ".join(prev)), is_final=False)
+        out = emit_dynamic(hyp, probes, prev, is_final=False)
         assert out == prev or is_prefix(out, hyp)
         assert not (is_prefix(out, prev) and out != prev)
-        assert mask == len(hyp) - len(longest_common_prefix(hyp, out))
-        assert mask >= 0
 
 
 def test_emit_oracle_examples():
