@@ -150,9 +150,10 @@ def save_lm(lm: NgramLM, path: str | Path) -> None:
             for o, tables in lm.counts.items()
         },
     }
+    # one dumps call: json.dump streams through the pure-Python encoder
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=None)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_lm(path: str | Path) -> NgramLM:

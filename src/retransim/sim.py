@@ -207,6 +207,11 @@ def check_lm(strategy: StrategyConfig, lm: NgramLM | None) -> None:
         raise MissingLM(f"strategy {strategy.predictor.strategy} needs --lm (see train-lm)")
 
 
+def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
+    """Whether a step translates probe extensions: dynamic masking, non-final."""
+    return strategy.kind == "dynamic" and not is_final
+
+
 def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionTrace:
     """Simulate one sentence: reveal, retranslate, probe, emit, record."""
     strat = cfg.strategy
@@ -250,7 +255,7 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
             )
 
         probe_outputs: tuple[TokenSeq, ...] = ()
-        if strat.kind == "dynamic" and not is_final:
+        if _takes_probes(strat, is_final):
             extensions = _checked(
                 lambda: predict_extensions(
                     predictor,
@@ -647,6 +652,13 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                 )
             kind = data.get("kind")
             if kind == "run_header":
+                if header is not None:
+                    raise TraceError(f"{path}:{lineno}: second run header")
+                if traces:
+                    raise TraceError(
+                        f"{path}:{lineno}: run header after the first trace; "
+                        "it must be the first line"
+                    )
                 version = data.get("schema_version")
                 if version != TRACE_SCHEMA_VERSION:
                     raise SchemaVersionMismatch(
@@ -665,10 +677,12 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
 def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) -> None:
     """Check the session invariants; raises TraceInvariantError on violation.
 
-    With a strategy, every step's emission is replayed from the recorded
-    hypothesis, probes and previous display, and the recorded output
-    must equal the replay exactly. The oracle's full-sentence
-    translation is the last step's hypothesis.
+    Every step must record one translate call plus one per probe. With a
+    strategy, steps whose policy takes no probes must record none, and
+    every step's emission is replayed from the recorded hypothesis,
+    probes and previous display; the recorded output must equal the
+    replay exactly. The oracle's full-sentence translation is the last
+    step's hypothesis.
     """
     if not trace.records:
         raise TraceInvariantError(f"sentence {trace.sentence_id}: no records")
@@ -693,7 +707,16 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
             raise TraceInvariantError(
                 f"{where}: mask_length {rec.mask_length}, expected {expected_mask}"
             )
+        if rec.n_translate_calls != 1 + len(rec.probes):
+            raise TraceInvariantError(
+                f"{where}: n_translate_calls {rec.n_translate_calls} "
+                f"for {len(rec.probes)} probes, expected {1 + len(rec.probes)}"
+            )
         if strategy is not None:
+            if rec.probes and not _takes_probes(strategy, rec.is_final):
+                raise TraceInvariantError(
+                    f"{where}: {len(rec.probes)} probes on a step that takes none"
+                )
             try:
                 replayed = emit(
                     strategy, rec.raw_hypothesis, rec.probes, previous, rec.is_final, full

@@ -13,7 +13,14 @@ Two concrete translators share one small interface (``translate``):
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
 import math
+import os
+import shutil
+import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -331,6 +338,97 @@ def _eos_weight(cfg: ToyModelConfig, source: TokenSeq, source_is_final: bool) ->
     return cfg.eos_prob_nonfinal
 
 
+# ---------------------------------------------------------------------------
+# Compiled beam search
+# ---------------------------------------------------------------------------
+#
+# _beam.c holds ToyLexicalTranslator's beam search as one C function. It is
+# compiled once with the system C compiler into this package's __pycache__/,
+# keyed by a sha256 of the source and the flags, and loaded when this module
+# is imported, so forked workers inherit it. Without a compiler, or when the
+# build or load fails, translate runs the Python beam search, which is also
+# the reference the kernel must match bit for bit.
+
+_KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
+# no -ffast-math and no fused multiply-adds: the kernel must round every
+# operation as Python does
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_EOS = 0  # RT_EOS in _beam.c
+_KERNEL_NO_MEMORY = -2  # RT_NO_MEMORY in _beam.c
+_INT32_MAX = 2**31 - 1
+# a row of the kernel's input: entry count, then (fnv state, prob, token id)
+_ROW_COUNT = struct.Struct("=i")
+_ROW_ENTRY = struct.Struct("=Qdi")
+
+
+def _build_kernel() -> Path:
+    """Path of the compiled kernel, compiling it unless already cached."""
+    key = hashlib.sha256(
+        _KERNEL_SOURCE.read_bytes() + "\0".join(_KERNEL_FLAGS).encode()
+    ).hexdigest()[:16]
+    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_beam.{key}.so"
+    if lib.exists():
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler 'cc' on PATH")
+    import subprocess
+
+    lib.parent.mkdir(exist_ok=True)
+    # a private temporary name, then an atomic rename: overlapping builds
+    # never load a half-written library
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        done = subprocess.run(
+            [cc, *_KERNEL_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
+            capture_output=True,
+            text=True,
+        )
+        if done.returncode != 0:
+            raise OSError(f"{cc} exited {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, lib)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return lib
+
+
+def _load_kernel() -> ctypes.CDLL | None:
+    """The compiled kernel, or None after one warning when it is unavailable."""
+    try:
+        kernel = ctypes.CDLL(str(_build_kernel()))
+    except OSError as exc:
+        logging.getLogger(__name__).warning(
+            "toy decoder: C beam search unavailable (%s); using the Python beam search",
+            exc,
+        )
+        return None
+    c_i32, c_f64 = ctypes.c_int32, ctypes.c_double
+    kernel.rt_beam_search.argtypes = (
+        ctypes.c_char_p,  # rows
+        c_i32,  # source length
+        ctypes.c_uint64,  # prefix state
+        c_f64,  # instability
+        c_f64,  # distortion
+        c_f64,  # eos weight
+        c_f64,  # max_len_ratio
+        c_i32,  # beam size
+        ctypes.POINTER(c_i32),  # bias: previous output token ids
+        c_i32,  # bias: previous output length
+        c_f64,  # bias: beta
+        ctypes.POINTER(c_i32),  # out: token ids
+        ctypes.POINTER(c_f64),  # out: score
+    )
+    kernel.rt_beam_search.restype = c_i32
+    kernel.rt_fnv1a64.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64)
+    kernel.rt_fnv1a64.restype = ctypes.c_uint64
+    kernel.rt_unit_interval.argtypes = (ctypes.c_uint64,)
+    kernel.rt_unit_interval.restype = c_f64
+    return kernel
+
+
+_kernel = _load_kernel()
+
+
 class ToyLexicalTranslator:
     """Beam-search decoder over a probabilistic word lexicon.
 
@@ -343,6 +441,13 @@ class ToyLexicalTranslator:
         # grow-only cache of per-token hash states; worst case under races
         # is recomputation of an identical value
         self._token_states: dict[str, int] = {}
+        # the kernel's side: packed lexicon rows per source token and target
+        # token ids, grown under the lock so that one string has one id
+        self._rows: dict[str, bytes] = {}
+        self._ids: dict[str, int] = {EOS: _KERNEL_EOS}
+        self._targets: list[str] = [EOS]
+        self._seed_state = _avalanche(config.seed & _MASK64)
+        self._lock = threading.Lock()
 
     def step_distribution(
         self,
@@ -367,7 +472,9 @@ class ToyLexicalTranslator:
             _eos_weight(cfg, source, source_is_final_sentence),
             noise,
         )
-        total = sum(w for w, _, _ in weights)
+        total = 0.0
+        for w, _, _ in weights:
+            total += w
         return [StepCandidate(tok, w / total, pos) for w, tok, pos in weights]
 
     def translate(
@@ -378,6 +485,68 @@ class ToyLexicalTranslator:
     ) -> Translation:
         if not source:
             raise ValueError("source must be non-empty")
+        if _kernel is None:
+            return self._python_beam_search(source, bias, source_is_final)
+        cfg = self.config
+        n = len(source)
+        rows = self._rows
+        # rows first: they give every candidate target its id before the
+        # previous output's tokens are looked up
+        packed = b"".join([rows.get(tok) or self._row(tok) for tok in source])
+        prev, n_prev, beta = None, 0, 0.0
+        if bias is not None and bias.beta > 0.0 and bias.previous_output:
+            ids = self._ids
+            n_prev = len(bias.previous_output)
+            prev = (ctypes.c_int32 * n_prev)(*[ids.get(t, -1) for t in bias.previous_output])
+            beta = bias.beta
+        prefix_state = 0
+        if cfg.instability > 0:
+            blob = "\x1f".join(source).encode("utf-8")  # as in _prefix_state
+            prefix_state = _kernel.rt_fnv1a64(blob, len(blob), self._seed_state)
+        out = (ctypes.c_int32 * n)()
+        score = ctypes.c_double()
+        length = _kernel.rt_beam_search(
+            packed,
+            n,
+            prefix_state,
+            cfg.instability,
+            cfg.distortion,
+            _eos_weight(cfg, source, source_is_final),
+            cfg.max_len_ratio,
+            # no pool can reach 2**31 hypotheses, so a wider beam decodes alike
+            min(cfg.beam_size, _INT32_MAX),
+            prev,
+            n_prev,
+            beta,
+            out,
+            ctypes.byref(score),
+        )
+        if length < 0:
+            if length == _KERNEL_NO_MEMORY:
+                raise MemoryError("beam search kernel: out of memory")
+            raise TranslatorError("beam search ended with no complete hypothesis")
+        targets = self._targets
+        return Translation(tuple([targets[i] for i in out[:length]]), score.value)
+
+    def _row(self, token: str) -> bytes:
+        """The kernel's packed lexicon row for one source token (see _beam.c)."""
+        entries = _entries_for(self.config.lexicon, token)
+        with self._lock:
+            ids, targets = self._ids, self._targets
+            parts = [_ROW_COUNT.pack(len(entries))]
+            for tgt, p in entries:
+                i = ids.get(tgt)
+                if i is None:
+                    i = ids[tgt] = len(targets)
+                    targets.append(tgt)
+                parts.append(_ROW_ENTRY.pack(_token_state(tgt), p, i))
+            row = self._rows[token] = b"".join(parts)
+        return row
+
+    def _python_beam_search(
+        self, source: TokenSeq, bias: BiasSpec | None, source_is_final: bool
+    ) -> Translation:
+        """The beam search in Python: the kernel's reference and fallback."""
         cfg = self.config
         n = len(source)
         entries = [_entries_for(cfg.lexicon, tok) for tok in source]
@@ -407,7 +576,9 @@ class ToyLexicalTranslator:
                 weights = _raw_step_weights(
                     cfg, entries, source, cov, highest, m, eos_w, noise
                 )
-                total = sum(w for w, _, _ in weights)
+                total = 0.0
+                for w, _, _ in weights:
+                    total += w
                 for w, tok, pos in weights:
                     p = w / total
                     child_diverged = diverged

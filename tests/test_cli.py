@@ -403,6 +403,30 @@ def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tampe
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize("placement", ["appended", "repeated", "moved"])
+def test_misplaced_run_header_exits_2(workspace, capsys, command, placement):
+    tmp_path, _, cfg_path = workspace
+    paths = {kind: tmp_path / f"{kind}.jsonl" for kind in ("mask_k", "none")}
+    for kind, path in paths.items():
+        assert main(["run", "--config", str(cfg_path), "--strategy", kind, "--k-mask", "1",
+                     "--traces-out", str(path)]) == 0
+    header, *traces = paths["mask_k"].read_text(encoding="utf-8").splitlines()
+    other = paths["none"].read_text(encoding="utf-8").splitlines()[0]
+    if placement == "appended":
+        lines, problem = [header, *traces, other], f":{len(traces) + 2}: second run header"
+    elif placement == "repeated":
+        lines, problem = [header, other, *traces], ":2: second run header"
+    else:
+        lines, problem = [traces[0], header, *traces[1:]], ":2: run header after the first trace"
+    paths["mask_k"].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--traces", str(paths["mask_k"])]) == 2
+    captured = capsys.readouterr()
+    assert f"{paths['mask_k']}{problem}" in captured.err
+    assert captured.out == ""
+
+
 def test_pareto_frontier_logic():
     points = [
         TradeoffPoint("a", al=1.0, ne=1.0, bleu=0, n_sentences=1),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
+from retransim.core import read_lines, tokenize
 from retransim.predict import (
     EOS,
     UNK,
@@ -17,6 +19,7 @@ from retransim.predict import (
     save_lm,
     train_lm,
 )
+from retransim.synthetic import write_synthetic
 from conftest import seq
 
 
@@ -100,6 +103,21 @@ def test_retraining_is_byte_identical(tmp_path):
     save_lm(train_lm(corpus, order=3, smoothing_alpha=0.3), p1)
     save_lm(train_lm(corpus, order=3, smoothing_alpha=0.3), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_pinned_corpus_lm_file_is_pinned(tmp_path):
+    # the LM the acceptance suite and the benchmark train on the pinned
+    # synthetic corpus; its bytes are part of every lm_* run's inputs
+    paths = write_synthetic(tmp_path)
+    sentences = [tokenize(line) for line in read_lines(paths["source"])]
+    path = tmp_path / "lm.json"
+    save_lm(train_lm(sentences, order=3, smoothing_alpha=0.1), path)
+    data = path.read_bytes()
+    assert len(data) == 53415
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "676b3c067981d2c6a9f29a72b5ecc035b6dd7f09422a84e726e1a9db730a1b5a"
+    )
 
 
 def test_load_lm_rejects_wrong_format(tmp_path):

@@ -216,6 +216,21 @@ def test_validate_trace_catches_corruption(tmp_path):
         validate_trace(dataclasses.replace(good, records=good.records[:-1]))
     with pytest.raises(TraceInvariantError):
         validate_trace(dataclasses.replace(good, final_output=("wrong",)))
+    # probes on a policy that takes none, with a made-up call count, and
+    # with a call count that matches them
+    def first_step(**changes):
+        rec = dataclasses.replace(good.records[0], **changes)
+        return dataclasses.replace(good, records=(rec,) + good.records[1:])
+
+    made_up = (("made", "up"),)
+    bad_calls = first_step(probes=made_up, n_translate_calls=99)
+    bad_probes = first_step(probes=made_up, n_translate_calls=2)
+    for tampered, strategy in (
+        (bad_calls, None), (bad_calls, cfg.strategy), (bad_probes, cfg.strategy)
+    ):
+        with pytest.raises(TraceInvariantError, match=f"sentence {good.sentence_id}, step 1:"):
+            validate_trace(tampered, strategy)
+    validate_trace(bad_probes)  # structurally sound: only the policy takes no probes
 
     dynamic = StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2))
     traces, _ = run_corpus(_noisy_corpus_config(tmp_path, dynamic))
@@ -227,7 +242,7 @@ def test_validate_trace_catches_corruption(tmp_path):
     )
     rec = trace.records[pos]
     blanked = dataclasses.replace(rec, emitted_output=(), mask_length=len(rec.raw_hypothesis))
-    unprobed = dataclasses.replace(rec, probes=())
+    unprobed = dataclasses.replace(rec, probes=(), n_translate_calls=1)
     for changed in (blanked, unprobed):
         records = trace.records[:pos] + (changed,) + trace.records[pos + 1:]
         tampered = dataclasses.replace(trace, records=records)
@@ -262,7 +277,10 @@ def emitted_traces(draw):
         out = emit(strategy, hyp, probes, previous, is_final, hyps[-1])
         source = tuple(f"s{j}" for j in range(i))
         records.append(
-            StepRecord(i, source, hyp, out, erased_between(hyp, out), is_final, probes)
+            StepRecord(
+                i, source, hyp, out, erased_between(hyp, out), is_final, probes,
+                n_translate_calls=1 + len(probes),
+            )
         )
         previous = out
     return strategy, SessionTrace(0, tuple(records), previous)

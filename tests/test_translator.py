@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import logging
 import math
 import random
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from retransim import translator
 from retransim.core import TokenSeq
 from retransim.translator import (
     EOS,
@@ -19,6 +25,7 @@ from retransim.translator import (
     ToyLexicalTranslator,
     ToyModelConfig,
     UnknownSourceToken,
+    _MASK64,
     instability_noise,
     load_lexicon,
     load_script,
@@ -437,3 +444,136 @@ def test_decoder_noise_matches_public_contract():
         for tok in ("x", "y", "zz"):
             want = math.exp(0.7 * instability_noise(9, ("a", "b"), m, tok))
             assert table.factor(m, tok) == want
+
+
+# ---------------------------------------------------------------------------
+# Compiled beam search
+# ---------------------------------------------------------------------------
+
+SOURCE_WORDS = ("a", "b", "c", "d")
+TARGET_WORDS = ("t1", "t2", "t3", "t4", "t5", "t6")
+
+
+@st.composite
+def decoding_cases(draw):
+    """A random toy model, source, finality flag and bias."""
+    lexicon = {}
+    for word in SOURCE_WORDS:
+        targets = draw(st.lists(st.sampled_from(TARGET_WORDS), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
+        lexicon[word] = tuple((t, w / sum(weights)) for t, w in zip(targets, weights))
+    cfg = ToyModelConfig(
+        lexicon=lexicon,
+        beam_size=draw(st.integers(1, 6)),
+        distortion=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        instability=draw(st.sampled_from([0.0, 0.4, 1.5])),
+        eos_prob_final=draw(st.sampled_from([0.5, 0.9])),
+        eos_prob_nonfinal=draw(st.sampled_from([0.1, 0.2])),
+        max_len_ratio=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        seed=draw(st.integers(0, 2**64)),
+    )
+    source = tuple(
+        draw(st.lists(st.sampled_from(SOURCE_WORDS + (UNK, ".")), min_size=1, max_size=12))
+    )
+    if "." in source:
+        cfg = dataclasses.replace(cfg, lexicon={**lexicon, ".": ((".", 1.0),)})
+    previous = tuple(draw(st.lists(st.sampled_from(TARGET_WORDS + (UNK, EOS)), max_size=12)))
+    bias = BiasSpec(previous, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return cfg, source, draw(st.booleans()), draw(st.sampled_from([None, bias]))
+
+
+def _assert_kernel_matches_python(tr, source, final=False, bias=None):
+    got = tr.translate(source, bias=bias, source_is_final=final)
+    want = tr._python_beam_search(source, bias, final)
+    assert got.tokens == want.tokens
+    assert got.score.hex() == want.score.hex()
+
+
+needs_kernel = pytest.mark.skipif(translator._kernel is None, reason="no C beam search")
+
+
+@needs_kernel
+@settings(deadline=None)  # a loaded host must not fail a correct example
+@given(decoding_cases())
+def test_kernel_matches_python_beam_search(case):
+    cfg, source, final, bias = case
+    _assert_kernel_matches_python(ToyLexicalTranslator(cfg), source, final, bias)
+
+
+@needs_kernel
+def test_kernel_matches_python_past_64_source_positions():
+    lex = {
+        "a": (("x", 0.6), ("y", 0.4)),
+        "b": (("z", 1.0),),
+        "c": (("w", 0.5), ("x", 0.3), ("v", 0.2)),
+    }
+    tr = ToyLexicalTranslator(
+        ToyModelConfig(lexicon=lex, beam_size=3, distortion=0.8, instability=0.9, seed=5)
+    )
+    rng = random.Random(64)
+    for n in (65, 97):
+        source = tuple(rng.choice("abc") for _ in range(n))
+        _assert_kernel_matches_python(tr, source, final=True)
+        previous = tr.translate(source[:-1]).tokens
+        _assert_kernel_matches_python(tr, source, bias=BiasSpec(previous, 0.3))
+
+
+@needs_kernel
+def test_kernel_takes_beams_wider_than_any_pool():
+    lex = {"a": (("x", 0.6), ("y", 0.4)), "b": (("z", 1.0),)}
+    tr = ToyLexicalTranslator(ToyModelConfig(lexicon=lex, beam_size=10**12, instability=0.5))
+    for source in (("a",), ("a", "b"), ("b", "a", "b", "a")):
+        _assert_kernel_matches_python(tr, source, final=True)
+
+
+@needs_kernel
+def test_kernel_unit_interval_is_correctly_rounded():
+    unit = translator._kernel.rt_unit_interval
+    edges = [0, 1, 2, 2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1, 2**54, 2**54 + 1, 2**64 - 1]
+    # halfway between two doubles, in the three rounding regimes
+    ties = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6, 2**63 + 2**10, 2**64 - 2**10]
+    rng = random.Random(2**64)
+    randoms = [rng.getrandbits(64) >> rng.randrange(64) for _ in range(10**5)]
+    for h in edges + ties + [t + d for t in ties for d in (-1, 1)] + randoms:
+        assert unit(h) == h / _MASK64, h
+
+
+def test_kernel_loads_when_a_compiler_is_present():
+    # a silent fallback to the Python beam search must not pass unnoticed
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert translator._kernel is not None
+
+
+def test_python_beam_search_is_the_fallback(monkeypatch):
+    lex = {"a": (("x", 0.6), ("y", 0.4)), "b": (("z", 1.0),)}
+    tr = ToyLexicalTranslator(ToyModelConfig(lexicon=lex, instability=0.8, seed=3))
+    monkeypatch.setattr(translator, "_kernel", None)
+    for source in (("a",), ("a", "b"), ("b", "a", "b")):
+        assert tr.translate(source) == tr._python_beam_search(source, None, False)
+
+
+def test_kernel_falls_back_with_a_warning_without_compiler(tmp_path, monkeypatch, caplog):
+    source = tmp_path / "_beam.c"
+    shutil.copyfile(translator._KERNEL_SOURCE, source)
+    monkeypatch.setattr(translator, "_KERNEL_SOURCE", source)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with caplog.at_level(logging.WARNING, logger="retransim.translator"):
+        assert translator._load_kernel() is None
+    assert len(caplog.records) == 1
+    assert "using the Python beam search" in caplog.text
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):
+    source = tmp_path / "_beam.c"
+    shutil.copyfile(translator._KERNEL_SOURCE, source)
+    monkeypatch.setattr(translator, "_KERNEL_SOURCE", source)
+    lib = translator._build_kernel()
+    assert lib.parent == tmp_path / "__pycache__"
+    assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temporary left
+    monkeypatch.setenv("PATH", str(tmp_path))  # a cached build needs no compiler
+    assert translator._build_kernel() == lib
+    monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
+    with pytest.raises(OSError, match="no C compiler"):
+        translator._build_kernel()
