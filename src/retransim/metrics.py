@@ -14,6 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import SessionTrace, TokenSeq, longest_common_prefix
 
@@ -62,7 +63,21 @@ def average_lag(trace: SessionTrace) -> float:
             for t in range(best + 1, length + 1):
                 first_reach[t] = rec.step_index
             best = length
-    return sum(first_reach[t] - (t - 1) * ratio for t in range(1, tau + 1)) / tau
+    lag = 0.0
+    for t in range(1, tau + 1):
+        lag += first_reach[t] - (t - 1) * ratio
+    return lag / tau
+
+
+def _mean(values) -> float:
+    """Left-to-right float mean: sum() of floats is compensated from
+    Python 3.12 on, which would change the last digits across versions."""
+    total = 0.0
+    count = 0
+    for v in values:
+        total += v
+        count += 1
+    return total / count
 
 
 def erased_between(previous: TokenSeq, current: TokenSeq) -> int:
@@ -93,8 +108,27 @@ def normalized_erasure(trace: SessionTrace) -> float:
     return erased / final_len
 
 
+_MAX_ORDER = 4
+
+
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+@lru_cache(maxsize=1 << 12)
+def _sentence_stats(hyp: TokenSeq, ref: TokenSeq) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(clipped n-gram matches, hypothesis n-gram totals) for n = 1..4.
+
+    Sweep cells share references and mostly share final outputs, so most
+    sentences are counted once per process.
+    """
+    clipped = []
+    totals = []
+    for n in range(1, _MAX_ORDER + 1):
+        ref_ngrams = _ngrams(ref, n)
+        clipped.append(sum(min(c, ref_ngrams[g]) for g, c in _ngrams(hyp, n).items()))
+        totals.append(max(len(hyp) - n + 1, 0))
+    return tuple(clipped), tuple(totals)
 
 
 def corpus_bleu(hypotheses: list[TokenSeq], references: list[TokenSeq]) -> float:
@@ -110,7 +144,7 @@ def corpus_bleu(hypotheses: list[TokenSeq], references: list[TokenSeq]) -> float
         )
     if not hypotheses:
         raise LengthMismatch("at least one sentence is required")
-    max_order = 4
+    max_order = _MAX_ORDER
     clipped = [0] * (max_order + 1)
     totals = [0] * (max_order + 1)
     hyp_len = 0
@@ -118,11 +152,10 @@ def corpus_bleu(hypotheses: list[TokenSeq], references: list[TokenSeq]) -> float
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
+        matches, counts = _sentence_stats(tuple(hyp), tuple(ref))
         for n in range(1, max_order + 1):
-            hyp_ngrams = _ngrams(hyp, n)
-            ref_ngrams = _ngrams(ref, n)
-            totals[n] += max(len(hyp) - n + 1, 0)
-            clipped[n] += sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
+            clipped[n] += matches[n - 1]
+            totals[n] += counts[n - 1]
     if hyp_len == 0 or totals[1] == 0 or clipped[1] == 0:
         return 0.0
     log_sum = math.log(clipped[1] / totals[1])
@@ -169,9 +202,9 @@ def aggregate(
     if ne_mode not in ("mean", "corpus"):
         raise MetricsError(f"unknown ne_mode {ne_mode!r}")
     ordered = sorted(traces, key=lambda tr: tr.sentence_id)
-    al = sum(average_lag(tr) for tr in ordered) / len(ordered)
+    al = _mean(average_lag(tr) for tr in ordered)
     if ne_mode == "mean":
-        ne = sum(normalized_erasure(tr) for tr in ordered) / len(ordered)
+        ne = _mean(normalized_erasure(tr) for tr in ordered)
     else:
         erased = sum(total_erasure(tr) for tr in ordered)
         final_total = sum(len(tr.final_output) for tr in ordered)

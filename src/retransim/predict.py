@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,51 +65,77 @@ class NgramLM:
         self.vocabulary = frozenset(vocabulary) | {UNK, EOS}
         self.smoothing_alpha = smoothing_alpha
         self._sorted_vocab = tuple(sorted(self.vocabulary))
+        # sampling tables, built on first use: one per resolved count
+        # table, shared by every context that backs off to it
+        self._by_table: dict[tuple, tuple[array, str]] = {}
+        self._by_context: dict[TokenSeq, tuple[array, str]] = {}
 
-    def _resolve(self, context: TokenSeq) -> tuple[dict[str, int], int]:
-        """Longest observed context table for a query, after backoff."""
+    def _resolve(self, context: TokenSeq) -> tuple[tuple, dict[str, int]]:
+        """(order, context) key and count table of the longest observed
+        context for a query, after backoff."""
         context = tuple(context)
         for o in range(min(self.order, len(context) + 1), 1, -1):
-            table = self.counts.get(o, {}).get(context[len(context) - o + 1 :])
+            key = context[len(context) - o + 1 :]
+            table = self.counts.get(o, {}).get(key)
             if table is not None:
-                return table, sum(table.values())
-        table = self.counts[1].get((), {})
-        return table, sum(table.values())
+                return (o, key), table
+        return (1, ()), self.counts[1].get((), {})
+
+    def _table(self, context: TokenSeq) -> tuple[array, str]:
+        """(cumulative probabilities in sorted-vocabulary order, argmax)
+        of the table a context resolves to."""
+        context = tuple(context)
+        if len(context) >= self.order:  # only the last order-1 tokens count
+            context = context[len(context) - self.order + 1 :]
+        entry = self._by_context.get(context)
+        if entry is None:
+            key, table = self._resolve(context)
+            entry = self._by_table.get(key)
+            if entry is None:
+                entry = self._by_table[key] = self._build_table(table)
+            self._by_context[context] = entry
+        return entry
+
+    def _build_table(self, table: dict[str, int]) -> tuple[array, str]:
+        a = self.smoothing_alpha
+        denom = sum(table.values()) + a * len(self.vocabulary)
+        cum = array("d")
+        acc = 0.0
+        best, best_count = "", -1
+        for t in self._sorted_vocab:
+            c = table.get(t, 0)
+            acc += (c + a) / denom
+            cum.append(acc)
+            if c > best_count:
+                best, best_count = t, c
+        return cum, best
 
     def prob(self, token: str, context: TokenSeq = ()) -> float:
         if token not in self.vocabulary:
             token = UNK
-        table, total = self._resolve(context)
+        _, table = self._resolve(context)
         a = self.smoothing_alpha
         v = len(self.vocabulary)
-        return (table.get(token, 0) + a) / (total + a * v)
+        return (table.get(token, 0) + a) / (sum(table.values()) + a * v)
 
     def distribution(self, context: TokenSeq = ()) -> list[tuple[str, float]]:
         """(token, prob) over the full vocabulary, sorted by token."""
-        table, total = self._resolve(context)
+        _, table = self._resolve(context)
         a = self.smoothing_alpha
-        denom = total + a * len(self.vocabulary)
+        denom = sum(table.values()) + a * len(self.vocabulary)
         return [(t, (table.get(t, 0) + a) / denom) for t in self._sorted_vocab]
 
     def argmax(self, context: TokenSeq = ()) -> str:
         """Most probable next token; ties break lexicographically."""
-        table, total = self._resolve(context)
-        best, best_count = None, -1
-        for t in self._sorted_vocab:
-            c = table.get(t, 0)
-            if c > best_count:
-                best, best_count = t, c
-        return best  # type: ignore[return-value]
+        return self._table(context)[1]
 
     def sample(self, context: TokenSeq, rng: random.Random) -> str:
-        u = rng.random()
-        acc = 0.0
-        dist = self.distribution(context)
-        for token, p in dist:
-            acc += p
-            if u < acc:
-                return token
-        return dist[-1][0]  # float tail when u ~ 1.0
+        """The first token, in sorted-vocabulary order, whose left-to-right
+        cumulative probability exceeds one uniform draw; the last token
+        when float rounding leaves the draw above the final sum."""
+        cum = self._table(context)[0]
+        i = bisect_right(cum, rng.random())
+        return self._sorted_vocab[min(i, len(cum) - 1)]
 
 
 def train_lm(

@@ -10,8 +10,10 @@ regenerated files are byte-identical.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SENTENCES = 200
 VOCAB = 50
@@ -61,6 +63,9 @@ def generate(
     seed: int = SEED,
 ) -> tuple[list[str], list[str], dict[str, list[tuple[str, float]]]]:
     """Build (source lines, reference lines, lexicon) deterministically."""
+    # imported here: the rest of the package runs without numpy
+    import numpy as np
+
     if vocab < 1 or sentences < 1:
         raise ValueError("vocab and sentences must be >= 1")
     if not 2 <= min_len <= max_len:

@@ -124,12 +124,15 @@ def _token_state(token: str) -> int:
     return _fnv1a64(token.encode("utf-8"))
 
 
+def _noise(prefix_state: int, token_state: int, target_len: int) -> float:
+    """u of the derivation above, from the P and C states."""
+    h = _avalanche(prefix_state ^ _avalanche((token_state + target_len * _GOLDEN) & _MASK64))
+    return 2.0 * (h / _MASK64) - 1.0
+
+
 def instability_noise(seed: int, source: TokenSeq, target_len: int, token: str) -> float:
     """Deterministic noise in [-1, 1] for one candidate at one decode step."""
-    p = _prefix_state(seed, source)
-    c = _token_state(token)
-    h = _avalanche(p ^ _avalanche((c + target_len * _GOLDEN) & _MASK64))
-    return 2.0 * (h / _MASK64) - 1.0
+    return _noise(_prefix_state(seed, source), _token_state(token), target_len)
 
 
 def mix64(*values: int) -> int:
@@ -326,9 +329,7 @@ class _NoiseTable:
             c = self._token_states.get(token)
             if c is None:
                 c = self._token_states[token] = _token_state(token)
-            h = _avalanche(self._prefix ^ _avalanche((c + target_len * _GOLDEN) & _MASK64))
-            u = 2.0 * (h / _MASK64) - 1.0
-            f = self._factors[key] = math.exp(self._lam * u)
+            f = self._factors[key] = math.exp(self._lam * _noise(self._prefix, c, target_len))
         return f
 
 

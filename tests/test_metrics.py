@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retransim.core import SessionTrace, StepRecord
+from retransim import metrics
 from retransim.metrics import (
     EmptyTrace,
     FlickerOnEmptyFinal,
@@ -260,3 +264,76 @@ def test_tradeoff_point_csv():
     point = TradeoffPoint("mask_k=3", 1.5, 0.125, 61.25, 10)
     assert TradeoffPoint.CSV_HEADER == "strategy,AL,NE,BLEU,n_sentences"
     assert point.csv_row() == "mask_k=3,1.5,0.125,61.25,10"
+
+
+# ---------------------------------------------------------------------------
+# Summation order and the BLEU statistics memo
+# ---------------------------------------------------------------------------
+
+
+def test_average_lag_sums_left_to_right():
+    # 2 source tokens, 7 target tokens: the lag terms' left-to-right sum
+    # and their correctly rounded sum (sum() from Python 3.12) differ
+    toks = tuple(f"t{i}" for i in range(7))
+    trace = make_trace([toks[:2], toks])
+    terms = [1.0] + [(2 if t > 2 else 1) - (t - 1) * (2 / 7) for t in range(2, 8)]
+    naive = 0.0
+    for x in terms:
+        naive += x
+    assert naive != math.fsum(terms)
+    assert average_lag(trace) == naive / 7
+
+
+def test_aggregate_means_sum_left_to_right(monkeypatch):
+    # per-sentence values whose naive sum is 0 and compensated sum is 1
+    values = {0: 1e16, 1: 1.0, 2: -1e16}
+    monkeypatch.setattr(metrics, "average_lag", lambda tr: values[tr.sentence_id])
+    monkeypatch.setattr(metrics, "normalized_erasure", lambda tr: values[tr.sentence_id])
+    traces = [make_trace([seq("x")], sentence_id=i, reference=seq("x")) for i in values]
+    point = aggregate("s", traces)
+    assert (point.al, point.ne) == (0.0, 0.0)
+
+
+def _uncached_bleu(hypotheses, references) -> float:
+    # corpus BLEU-4 counted from scratch, sentence by sentence
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    clipped = [0] * 5
+    totals = [0] * 5
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, 5):
+            ref_ngrams = ngrams(ref, n)
+            totals[n] += max(len(hyp) - n + 1, 0)
+            clipped[n] += sum(min(c, ref_ngrams[g]) for g, c in ngrams(hyp, n).items())
+    if hyp_len == 0 or totals[1] == 0 or clipped[1] == 0:
+        return 0.0
+    log_sum = math.log(clipped[1] / totals[1])
+    for n in range(2, 5):
+        if clipped[n] > 0:
+            log_sum += math.log(clipped[n] / totals[n])
+        else:
+            log_sum += math.log((clipped[n] + 1) / (totals[n] + 1))
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_sum / 4)
+
+
+_BLEU_SENTENCE = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_BLEU_SENTENCE, _BLEU_SENTENCE), min_size=1, max_size=8))
+def test_memoized_bleu_matches_uncached_counts(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    want = repr(_uncached_bleu(hyps, refs))
+    assert repr(corpus_bleu(hyps, refs)) == want
+    assert repr(corpus_bleu(hyps, refs)) == want  # every sentence from the memo
+    # the same sentences paired differently, and as lists
+    shifted = refs[1:] + refs[:1]
+    assert repr(corpus_bleu(hyps, shifted)) == repr(_uncached_bleu(hyps, shifted))
+    lists = [list(h) for h in hyps]
+    assert repr(corpus_bleu(lists, refs)) == want

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retransim.core import read_lines, tokenize
 from retransim.predict import (
@@ -67,6 +70,98 @@ def test_backoff_through_middle_orders():
 
 def test_out_of_vocabulary_token_maps_to_unk(bigram_lm):
     assert bigram_lm.prob("zzz", ("a",)) == bigram_lm.prob(UNK, ("a",))
+
+
+# ---------------------------------------------------------------------------
+# Sampling tables
+# ---------------------------------------------------------------------------
+
+
+class _FixedDraw:
+    """Stands in for random.Random: every draw returns u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _scan_sample(lm: NgramLM, context: tuple[str, ...], u: float) -> str:
+    # the sampler as a linear scan over the full distribution
+    acc = 0.0
+    dist = lm.distribution(context)
+    for token, p in dist:
+        acc += p
+        if u < acc:
+            return token
+    return dist[-1][0]
+
+
+def _scan_argmax(lm: NgramLM, context: tuple[str, ...]) -> str:
+    _, table = lm._resolve(context)
+    best, best_count = None, -1
+    for t in sorted(lm.vocabulary):
+        if table.get(t, 0) > best_count:
+            best, best_count = t, table.get(t, 0)
+    return best
+
+
+_LM_WORDS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def lm_cases(draw):
+    """A random LM, query contexts (unseen tokens and EOS included), and
+    draws: the cumulative boundaries of one context's scan, their float
+    neighbours, 0, the largest float below 1 and arbitrary values."""
+    word = st.sampled_from(_LM_WORDS)
+    corpus = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(tuple), min_size=1, max_size=6))
+    alpha = draw(st.one_of(st.floats(1e-3, 5.0), st.sampled_from([0.1, 1 / 3, 1e-12])))
+    lm = train_lm(corpus, order=draw(st.integers(1, 4)), smoothing_alpha=alpha)
+    query = st.lists(st.sampled_from(_LM_WORDS + ("zz", EOS)), max_size=5).map(tuple)
+    contexts = draw(st.lists(query, min_size=1, max_size=4))
+    boundaries = []
+    acc = 0.0
+    for _, p in lm.distribution(contexts[0]):
+        acc += p
+        boundaries += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0)]
+    draws = [0.0, math.nextafter(1.0, 0.0), *boundaries]
+    draws += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5))
+    return lm, contexts, [u for u in draws if 0.0 <= u < 1.0]
+
+
+@settings(deadline=None)
+@given(lm_cases())
+def test_cached_sampler_matches_linear_scan(case):
+    lm, contexts, draws = case
+    for _ in range(2):  # the second pass reads the memo
+        for context in contexts:
+            for u in draws:
+                assert lm.sample(context, _FixedDraw(u)) == _scan_sample(lm, context, u), (
+                    context,
+                    u.hex(),
+                )
+
+
+@settings(deadline=None)
+@given(lm_cases())
+def test_cached_argmax_matches_scan(case):
+    lm, contexts, _ = case
+    for _ in range(2):
+        for context in contexts:
+            assert lm.argmax(context) == _scan_argmax(lm, context), context
+
+
+def test_sampling_tables_are_lazy_and_shared_by_backoff(tmp_path, bigram_lm):
+    path = tmp_path / "lm.json"
+    save_lm(bigram_lm, path)
+    lm = load_lm(path)
+    assert not lm._by_table  # loading builds no table
+    # an unseen context backs off to the unigram table, as does ()
+    assert lm._table(("zzz",)) is lm._table(("b", "zzz")) is lm._table(())
+    assert lm._table(("a",)) is not lm._table(())
+    assert len(lm._by_table) == 2
 
 
 def test_train_lm_validation():
