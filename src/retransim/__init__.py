@@ -54,9 +54,7 @@ from .translator import (
     UNK,
     BiasSpec,
     CachingTranslator,
-    DecoderState,
     ScriptedTranslator,
-    StepCandidate,
     ToyLexicalTranslator,
     ToyModelConfig,
     Translation,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiasSpec",
     "CachingTranslator",
-    "DecoderState",
     "EOS",
     "Models",
     "NgramLM",
@@ -79,7 +76,6 @@ __all__ = [
     "ScriptedTranslator",
     "SentencePair",
     "SessionTrace",
-    "StepCandidate",
     "StepRecord",
     "StrategyConfig",
     "TokenSeq",

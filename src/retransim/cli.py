@@ -15,7 +15,14 @@ import sys
 from pathlib import Path
 
 from .core import CorpusError, SessionTrace, read_lines, tokenize
-from .metrics import MetricsError, TradeoffPoint, aggregate, mask_histogram, pareto_frontier
+from .metrics import (
+    NE_MODES,
+    MetricsError,
+    TradeoffPoint,
+    aggregate,
+    mask_histogram,
+    pareto_frontier,
+)
 from .predict import (
     EmptyCorpus,
     LMFormatError,
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", help="language model file from train-lm")
     p.add_argument("--seed", type=int)
     p.add_argument("--char-mode", action="store_true")
-    p.add_argument("--ne-mode", choices=["mean", "corpus"])
+    p.add_argument("--ne-mode", choices=NE_MODES)
     p.add_argument(
         "--parallelism", type=int, default=1,
         help="worker processes, sharded by sentence (default 1: in-process)",

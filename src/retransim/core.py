@@ -12,8 +12,6 @@ from pathlib import Path
 
 TokenSeq = tuple[str, ...]
 
-EMPTY: TokenSeq = ()
-
 
 class CorpusError(ValueError):
     """Malformed corpus input."""
@@ -32,10 +30,6 @@ def tokenize(text: str, char_mode: bool = False) -> TokenSeq:
     if char_mode:
         return tuple(ch for ch in text if not ch.isspace())
     return tuple(text.split())
-
-
-def detokenize(tokens: TokenSeq) -> str:
-    return " ".join(tokens)
 
 
 def check_tokens(tokens: TokenSeq, where: str = "token sequence") -> TokenSeq:
@@ -101,10 +95,6 @@ class SessionTrace:
     records: tuple[StepRecord, ...]
     final_output: TokenSeq
     reference: TokenSeq | None = None
-
-    @property
-    def source(self) -> TokenSeq:
-        return self.records[-1].source_prefix if self.records else EMPTY
 
 
 def read_lines(path: str | Path) -> list[str]:

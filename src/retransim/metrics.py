@@ -20,6 +20,9 @@ from .core import SessionTrace, TokenSeq, longest_common_prefix
 
 log = logging.getLogger(__name__)
 
+# how aggregate averages normalized erasure over sentences
+NE_MODES = ("mean", "corpus")
+
 
 class MetricsError(ValueError):
     """Invalid input to a metric computation."""
@@ -199,7 +202,7 @@ def aggregate(
     """
     if not traces:
         raise MetricsError("no traces to aggregate")
-    if ne_mode not in ("mean", "corpus"):
+    if ne_mode not in NE_MODES:
         raise MetricsError(f"unknown ne_mode {ne_mode!r}")
     ordered = sorted(traces, key=lambda tr: tr.sentence_id)
     al = _mean(average_lag(tr) for tr in ordered)

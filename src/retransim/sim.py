@@ -23,28 +23,25 @@ from itertools import chain
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
-from .metrics import MetricsError, TradeoffPoint, aggregate, erased_between
+from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
 from .strategy import StrategyConfig, emit
 from .translator import (
     BiasSpec,
     CachingTranslator,
     ToyLexicalTranslator,
+    ToyModelConfig,
     load_lexicon,
     load_script,
 )
 
 TRACE_SCHEMA_VERSION = 1
 
-_TOY_PARAM_KEYS = (
-    "beam_size",
-    "distortion",
-    "instability",
-    "eos_prob_final",
-    "eos_prob_nonfinal",
-    "max_len_ratio",
-    "seed",
-)
+# a toy translator spec's decoder parameters: each ToyModelConfig field but
+# the lexicon, with the type of its default
+_TOY_PARAM_TYPES = {
+    f.name: type(f.default) for f in dataclasses.fields(ToyModelConfig) if f.name != "lexicon"
+}
 
 
 class SimulationError(Exception):
@@ -92,28 +89,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.ne_mode not in NE_MODES:
+            raise ConfigError(f"ne_mode must be one of {NE_MODES}, got {self.ne_mode!r}")
 
     def to_dict(self) -> dict:
-        strat = self.strategy
-        predictor = None
-        if strat.predictor is not None:
-            p = strat.predictor
-            predictor = {"strategy": p.strategy, "k": p.k, "n": p.n, "seed": p.seed}
-        return {
-            "source_path": self.source_path,
-            "reference_path": self.reference_path,
-            "translator": dict(self.translator),
-            "strategy": {
-                "kind": strat.kind,
-                "k_mask": strat.k_mask,
-                "bias_beta": strat.bias_beta,
-                "predictor": predictor,
-            },
-            "char_mode": self.char_mode,
-            "seed": self.seed,
-            "lm_path": self.lm_path,
-            "ne_mode": self.ne_mode,
-        }
+        data = dataclasses.asdict(self)
+        del data["parallelism"]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict, parallelism: int = 1) -> "RunConfig":
@@ -166,11 +148,31 @@ def build_translator(spec: dict):
             identity_fallback=bool(spec.get("identity_fallback", False)),
         )
     elif kind == "toy":
-        params = {k: spec[k] for k in _TOY_PARAM_KEYS if k in spec}
+        params = _toy_params(spec)
         translator = ToyLexicalTranslator(load_lexicon(spec["lexicon_path"], **params))
     else:
         raise ConfigError(f"unknown translator kind {kind!r}")
     return CachingTranslator(translator)
+
+
+def _toy_params(spec: dict) -> dict:
+    """A toy translator spec's decoder parameters, checked before the lexicon loads."""
+    unknown = sorted(spec.keys() - {"kind", "lexicon_path"} - _TOY_PARAM_TYPES.keys())
+    if unknown:
+        raise ConfigError(f"toy translator: unknown key {unknown[0]!r}")
+    params = {k: spec[k] for k in _TOY_PARAM_TYPES if k in spec}
+    for key, value in params.items():
+        # an int stands for a float, but a bool is no number here
+        want = (int, float) if _TOY_PARAM_TYPES[key] is float else int
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(
+                f"toy translator: {key} must be {_TOY_PARAM_TYPES[key].__name__}, got {value!r}"
+            )
+    try:  # the ranges; the lexicon is checked as it loads
+        ToyModelConfig(lexicon={}, **params)
+    except ValueError as exc:
+        raise ConfigError(f"toy translator: {exc}") from exc
+    return params
 
 
 @dataclass
@@ -228,11 +230,12 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
     previous: TokenSeq = ()
     full_translation: TokenSeq | None = None
     if strat.kind == "oracle":
-        full_translation = _checked(
-            lambda: translator.translate(source, source_is_final=True).tokens,
-            pair.sentence_id,
-            len(source),
-        )
+        try:
+            full_translation = translator.translate(source, source_is_final=True).tokens
+        except Exception as exc:
+            raise SimulationError(
+                f"sentence {pair.sentence_id}, step {len(source)}: {exc}"
+            ) from exc
 
     records: list[StepRecord] = []
     for i in range(1, len(source) + 1):
@@ -242,44 +245,29 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
         if strat.bias_beta > 0.0 and previous:
             bias = BiasSpec(previous, strat.bias_beta)
 
-        calls = 1
-        if strat.kind == "oracle" and is_final:
-            hyp = full_translation  # the upfront full-sentence call
-        else:
-            hyp = _checked(
-                lambda: translator.translate(
-                    prefix, bias=bias, source_is_final=is_final
-                ).tokens,
-                pair.sentence_id,
-                i,
-            )
-
         probe_outputs: tuple[TokenSeq, ...] = ()
-        if _takes_probes(strat, is_final):
-            extensions = _checked(
-                lambda: predict_extensions(
+        try:
+            if strat.kind == "oracle" and is_final:
+                hyp = full_translation  # the upfront full-sentence call
+            else:
+                hyp = translator.translate(prefix, bias=bias, source_is_final=is_final).tokens
+            if _takes_probes(strat, is_final):
+                extensions = predict_extensions(
                     predictor,
                     models.lm,
                     models.vocab,
                     prefix,
                     sentence_id=pair.sentence_id,
                     step_index=i,
-                ),
-                pair.sentence_id,
-                i,
-            )
-            probe_outputs = tuple(
-                _checked(
-                    lambda e=ext: translator.translate(
-                        e, bias=bias, source_is_final=False
-                    ).tokens,
-                    pair.sentence_id,
-                    i,
                 )
-                for ext in extensions
-            )
-            calls += len(extensions)
+                probe_outputs = tuple(
+                    translator.translate(ext, bias=bias, source_is_final=False).tokens
+                    for ext in extensions
+                )
+        except Exception as exc:
+            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
 
+        # emission stays outside the try: its bugs are not input errors
         output = emit(strat, hyp, probe_outputs, previous, is_final, full_translation)
         records.append(
             StepRecord(
@@ -290,7 +278,7 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
                 mask_length=erased_between(hyp, output),
                 is_final=is_final,
                 probes=probe_outputs,
-                n_translate_calls=calls,
+                n_translate_calls=1 + len(probe_outputs),
             )
         )
         previous = output
@@ -301,17 +289,6 @@ def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionT
         final_output=records[-1].emitted_output,
         reference=pair.reference,
     )
-
-
-def _checked(thunk, sentence_id: int, step_index: int):
-    try:
-        return thunk()
-    except SimulationError:
-        raise
-    except Exception as exc:
-        raise SimulationError(
-            f"sentence {sentence_id}, step {step_index}: {exc}"
-        ) from exc
 
 
 def run_corpus(

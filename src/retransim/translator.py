@@ -5,7 +5,7 @@ Two concrete translators share one small interface (``translate``):
 * ``ScriptedTranslator``: exact source-prefix lookup, for regression tests
   and walkthroughs of known translation sessions.
 * ``ToyLexicalTranslator``: a deterministic lexical beam-search decoder
-  whose step distribution supports output biasing. A seeded hash
+  with optional biasing towards a previous output. A seeded hash
   perturbation ("instability") makes translations of a prefix change as
   the prefix grows, which is the flicker mechanism the masking strategies
   are designed to contain.
@@ -250,26 +250,6 @@ class ToyModelConfig:
                 )
 
 
-@dataclass(frozen=True)
-class DecoderState:
-    """Beam-search bookkeeping: emitted targets and consumed source positions."""
-
-    target_so_far: TokenSeq
-    coverage: int  # bitmask over source positions
-    accumulated_logprob: float = 0.0
-
-    def __post_init__(self) -> None:
-        if bin(self.coverage).count("1") != len(self.target_so_far):
-            raise ValueError("coverage must have one set bit per emitted target token")
-
-
-@dataclass(frozen=True)
-class StepCandidate:
-    token: str  # EOS marks end-of-sentence
-    probability: float
-    source_position: int | None  # position consumed; None for EOS
-
-
 def _entries_for(lexicon: dict[str, tuple[tuple[str, float], ...]], token: str):
     entries = lexicon.get(token)
     if entries is None:
@@ -282,7 +262,6 @@ def _entries_for(lexicon: dict[str, tuple[tuple[str, float], ...]], token: str):
 def _raw_step_weights(
     cfg: ToyModelConfig,
     entries: list[tuple[tuple[str, float], ...]],
-    source: TokenSeq,
     coverage: int,
     highest_covered: int,
     target_len: int,
@@ -295,7 +274,7 @@ def _raw_step_weights(
     each weighted lex_prob * distortion^|pos - expected| * exp(instability *
     noise), plus EOS when coverage is complete or the length gate is open.
     """
-    n = len(source)
+    n = len(entries)
     expected = highest_covered + 1
     weights: list[tuple[float, str, int | None]] = []
     for j in range(n):
@@ -433,8 +412,10 @@ _kernel = _load_kernel()
 class ToyLexicalTranslator:
     """Beam-search decoder over a probabilistic word lexicon.
 
-    Pure function of (config, source, bias, finality flag); holds no
-    mutable decoding state, so concurrent translate calls are safe.
+    translate is a pure function of (config, source, bias, finality flag).
+    The only mutable state is grow-only caches: per-token hash states,
+    and the kernel's packed lexicon rows and target ids, which grow under
+    a lock; so concurrent translate calls are safe.
     """
 
     def __init__(self, config: ToyModelConfig):
@@ -449,34 +430,6 @@ class ToyLexicalTranslator:
         self._targets: list[str] = [EOS]
         self._seed_state = _avalanche(config.seed & _MASK64)
         self._lock = threading.Lock()
-
-    def step_distribution(
-        self,
-        state: DecoderState,
-        source: TokenSeq,
-        source_is_final_sentence: bool = False,
-    ) -> list[StepCandidate]:
-        """Normalized next-token distribution for one decoder state."""
-        cfg = self.config
-        entries = [_entries_for(cfg.lexicon, tok) for tok in source]
-        noise = (
-            _NoiseTable(cfg, source, self._token_states) if cfg.instability > 0 else None
-        )
-        highest = max((j for j in range(len(source)) if state.coverage >> j & 1), default=-1)
-        weights = _raw_step_weights(
-            cfg,
-            entries,
-            source,
-            state.coverage,
-            highest,
-            len(state.target_so_far),
-            _eos_weight(cfg, source, source_is_final_sentence),
-            noise,
-        )
-        total = 0.0
-        for w, _, _ in weights:
-            total += w
-        return [StepCandidate(tok, w / total, pos) for w, tok, pos in weights]
 
     def translate(
         self,
@@ -574,9 +527,7 @@ class ToyLexicalTranslator:
                     pool.append((score, tokens, cov, highest, diverged, True))
                     continue
                 m = len(tokens)
-                weights = _raw_step_weights(
-                    cfg, entries, source, cov, highest, m, eos_w, noise
-                )
+                weights = _raw_step_weights(cfg, entries, cov, highest, m, eos_w, noise)
                 total = 0.0
                 for w, _, _ in weights:
                     total += w

@@ -144,6 +144,31 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("translator", "beam_size", "wide"),
+        ("translator", "distortion", "x"),
+        ("translator", "distortion", 0),
+        ("translator", "seed", True),
+        ("translator", "beam_sise", 3),
+        (None, "ne_mode", "bogus"),
+    ],
+)
+def test_run_bad_config_value_exits_2_naming_the_key(
+    workspace, tmp_path, capsys, monkeypatch, section, key, value
+):
+    _, cfg, _ = workspace
+    data = cfg.to_dict()
+    (data[section] if section else data)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    # rejected before any sentence is simulated
+    monkeypatch.setattr(sim, "run_sentence", None)
+    assert main(["run", "--config", str(bad)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_run_without_config_or_paths_exits_2(capsys):
     assert main(["run", "--strategy", "none"]) == 2
     assert "--config" in capsys.readouterr().err

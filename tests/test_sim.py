@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from retransim.core import CorpusLengthMismatch, SessionTrace, StepRecord
 from retransim.metrics import aggregate, erased_between, normalized_erasure
+from retransim import sim
 from retransim.predict import PredictorConfig, save_lm, train_lm
 from retransim.sim import (
     ConfigError,
     Models,
     RunConfig,
     SchemaVersionMismatch,
+    SimulationError,
     TraceInvariantError,
     config_hash,
     load_models,
@@ -128,6 +130,41 @@ def test_scripted_session_progressive_stability():
     ]
     validate_trace(trace, cfg.strategy)
     assert normalized_erasure(trace) == 0.0
+
+
+def _scripted_session(strategy: StrategyConfig, script: dict):
+    cfg = RunConfig(
+        source_path="unused",
+        reference_path="unused",
+        translator={"kind": "scripted", "script_path": "unused"},
+        strategy=strategy,
+    )
+    return cfg, Models(translator=ScriptedTranslator(script))
+
+
+def test_oracle_full_sentence_failure_names_the_last_step():
+    # the oracle translates the whole sentence before its first step; the
+    # failure is reported at step len(source), the step that uses that call
+    cfg, models = _scripted_session(
+        StrategyConfig("oracle"), {"a": seq("p"), "a b": seq("p q")}
+    )
+    pair = pairs_from(["a b c"], ["p q r"])[0]
+    with pytest.raises(SimulationError, match=r"^sentence 0, step 3: no script entry"):
+        run_sentence(cfg, pair, models)
+
+
+def test_translate_failure_names_its_step_and_emission_errors_pass_through(monkeypatch):
+    cfg, models = _scripted_session(StrategyConfig("none"), {"a": seq("p")})
+    pair = pairs_from(["a b"], ["p q"])[0]
+    with pytest.raises(SimulationError, match=r"^sentence 0, step 2: no script entry"):
+        run_sentence(cfg, pair, models)
+
+    def broken_emit(*args):
+        raise RuntimeError("emission bug")
+
+    monkeypatch.setattr(sim, "emit", broken_emit)
+    with pytest.raises(RuntimeError, match="^emission bug$"):
+        run_sentence(cfg, pair, models)
 
 
 def _noisy_corpus_config(tmp_path, strategy: StrategyConfig, **overrides) -> RunConfig:

@@ -17,7 +17,6 @@ from retransim.translator import (
     UNK,
     BiasSpec,
     CachingTranslator,
-    DecoderState,
     DuplicatePrefix,
     NonNormalizedLexicon,
     ParseError,
@@ -125,8 +124,35 @@ def test_toy_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Step distribution
+# One decode step
 # ---------------------------------------------------------------------------
+
+
+def step_candidates(
+    tr: ToyLexicalTranslator,
+    source: TokenSeq,
+    coverage: int,
+    target_len: int,
+    final: bool = False,
+) -> list[tuple[str, float, int | None]]:
+    """(token, probability, source position) of every candidate of one decode step.
+
+    Normalizes the decoder's raw step weights as the Python beam search
+    does; coverage is the bitmask of consumed source positions and EOS
+    consumes none.
+    """
+    cfg = tr.config
+    entries = [translator._entries_for(cfg.lexicon, tok) for tok in source]
+    noise = translator._NoiseTable(cfg, source, {}) if cfg.instability > 0 else None
+    eos_weight = translator._eos_weight(cfg, source, final)
+    highest = coverage.bit_length() - 1
+    weights = translator._raw_step_weights(
+        cfg, entries, coverage, highest, target_len, eos_weight, noise
+    )
+    total = 0.0
+    for w, _, _ in weights:
+        total += w
+    return [(tok, w / total, pos) for w, tok, pos in weights]
 
 
 def test_step_distribution_single_uncovered_with_eos():
@@ -134,29 +160,26 @@ def test_step_distribution_single_uncovered_with_eos():
     lex = {"a": (("x", 1.0),), "b": (("y", 1.0),)}
     cfg = ToyModelConfig(lexicon=lex, distortion=0.5, instability=0.0, max_len_ratio=0.5)
     tr = ToyLexicalTranslator(cfg)
-    state = DecoderState(target_so_far=("x",), coverage=0b01)
-    cands = tr.step_distribution(state, ("a", "b"))
-    by_token = {c.token: c for c in cands}
+    cands = step_candidates(tr, ("a", "b"), 0b01, 1)
+    by_token = {tok: (p, pos) for tok, p, pos in cands}
     assert set(by_token) == {"y", EOS}
     # weights proportional to {1 * 0.5^0, eos_prob_nonfinal}
     expected_total = 1.0 + cfg.eos_prob_nonfinal
-    assert by_token["y"].probability == pytest.approx(1.0 / expected_total)
-    assert by_token[EOS].probability == pytest.approx(cfg.eos_prob_nonfinal / expected_total)
-    assert by_token["y"].source_position == 1
-    assert by_token[EOS].source_position is None
+    assert by_token["y"][0] == pytest.approx(1.0 / expected_total)
+    assert by_token[EOS][0] == pytest.approx(cfg.eos_prob_nonfinal / expected_total)
+    assert by_token["y"][1] == 1
+    assert by_token[EOS][1] is None
 
 
 def test_step_distribution_normalizes_with_noise():
     lex = {"a": (("x", 0.5), ("y", 0.5)), "b": (("z", 1.0),)}
     plain = ToyModelConfig(lexicon=lex, instability=0.0)
     noisy = ToyModelConfig(lexicon=lex, instability=1.5)
-    state = DecoderState(target_so_far=(), coverage=0)
     for cfg in (plain, noisy):
-        cands = ToyLexicalTranslator(cfg).step_distribution(state, ("a", "b"))
-        assert sum(c.probability for c in cands) == pytest.approx(1.0, abs=1e-12)
+        cands = step_candidates(ToyLexicalTranslator(cfg), ("a", "b"), 0, 0)
+        assert sum(p for _, p, _ in cands) == pytest.approx(1.0, abs=1e-12)
     support = lambda cfg: {
-        (c.token, c.source_position)
-        for c in ToyLexicalTranslator(cfg).step_distribution(state, ("a", "b"))
+        (tok, pos) for tok, _, pos in step_candidates(ToyLexicalTranslator(cfg), ("a", "b"), 0, 0)
     }
     assert support(plain) == support(noisy)
 
@@ -165,18 +188,11 @@ def test_eos_weight_uses_final_punctuation():
     lex = {"a": (("x", 1.0),), ".": ((".", 1.0),)}
     cfg = ToyModelConfig(lexicon=lex, max_len_ratio=0.5)
     tr = ToyLexicalTranslator(cfg)
-    state = DecoderState(target_so_far=("x",), coverage=0b01)
-    plain = {c.token: c for c in tr.step_distribution(state, ("a", "a"))}
-    dotted = {c.token: c for c in tr.step_distribution(state, ("a", "."))}
-    flagged = {c.token: c for c in tr.step_distribution(state, ("a", "a"), True)}
-    assert plain[EOS].probability < dotted[EOS].probability
-    assert dotted[EOS].probability == flagged[EOS].probability
-
-
-def test_decoder_state_coverage_invariant():
-    DecoderState(target_so_far=("x", "y"), coverage=0b101)
-    with pytest.raises(ValueError):
-        DecoderState(target_so_far=("x",), coverage=0b11)
+    eos_prob = lambda source, final=False: {
+        tok: p for tok, p, _ in step_candidates(tr, source, 0b01, 1, final)
+    }[EOS]
+    assert eos_prob(("a", "a")) < eos_prob(("a", "."))
+    assert eos_prob(("a", ".")) == eos_prob(("a", "a"), True)
 
 
 def test_unknown_source_token():
@@ -203,32 +219,24 @@ def enumerate_best(
     beta = bias.beta if bias else 0.0
     best: list = [None]
 
-    def rec(state: DecoderState, score: float, diverged: bool) -> None:
-        m = len(state.target_so_far)
-        for cand in tr.step_distribution(state, source, source_is_final):
-            p = cand.probability
+    def rec(tokens: TokenSeq, coverage: int, score: float, diverged: bool) -> None:
+        m = len(tokens)
+        for tok, p, pos in step_candidates(tr, source, coverage, m, source_is_final):
             child_diverged = diverged
             if beta > 0.0 and prev and not diverged and m < len(prev):
-                if cand.token == prev[m]:
+                if tok == prev[m]:
                     p = (1.0 - beta) * p + beta
                 else:
                     p = (1.0 - beta) * p
                     child_diverged = True
             s = score + math.log(max(p, 1e-300))
-            if cand.token == EOS:
+            if tok == EOS:
                 if best[0] is None or s > best[0][1]:
-                    best[0] = (state.target_so_far, s)
+                    best[0] = (tokens, s)
             else:
-                rec(
-                    DecoderState(
-                        state.target_so_far + (cand.token,),
-                        state.coverage | (1 << cand.source_position),
-                    ),
-                    s,
-                    child_diverged,
-                )
+                rec(tokens + (tok,), coverage | (1 << pos), s, child_diverged)
 
-    rec(DecoderState((), 0), 0.0, False)
+    rec((), 0, 0.0, False)
     assert best[0] is not None
     return best[0]
 
@@ -316,8 +324,7 @@ def test_beta_one_follows_previous_first_token():
         prev = tr.translate(source[:-1]).tokens
         if not prev:
             continue
-        state0 = DecoderState((), 0)
-        step1 = {c.token for c in tr.step_distribution(state0, source)}
+        step1 = {tok for tok, _, _ in step_candidates(tr, source, 0, 0)}
         if prev[0] not in step1:
             continue
         out = tr.translate(source, bias=BiasSpec(prev, 1.0)).tokens
@@ -328,17 +335,14 @@ def test_beta_one_follows_previous_first_token():
 
 def greedy_decode(tr: ToyLexicalTranslator, source: TokenSeq, final: bool = False) -> TokenSeq:
     """Independent stepwise-argmax reference (first candidate wins ties)."""
-    state = DecoderState((), 0)
+    tokens, coverage = (), 0
     while True:
-        cands = tr.step_distribution(state, source, final)
-        best = max(cands, key=lambda c: c.probability)
-        first_max = next(c for c in cands if c.probability == best.probability)
-        if first_max.token == EOS:
-            return state.target_so_far
-        state = DecoderState(
-            state.target_so_far + (first_max.token,),
-            state.coverage | (1 << first_max.source_position),
-        )
+        cands = step_candidates(tr, source, coverage, len(tokens), final)
+        best = max(p for _, p, _ in cands)
+        tok, _, pos = next(c for c in cands if c[1] == best)
+        if tok == EOS:
+            return tokens
+        tokens, coverage = tokens + (tok,), coverage | (1 << pos)
 
 
 def test_beam_width_one_is_greedy():
@@ -421,9 +425,8 @@ def test_instability_zero_ignores_unrelated_prefix_content():
     lex = {"a": (("x", 0.6), ("y", 0.4)), "b": (("z", 1.0),)}
     cfg = ToyModelConfig(lexicon=lex, instability=0.0, distortion=0.5)
     tr = ToyLexicalTranslator(cfg)
-    state = DecoderState((), 0)
-    only_a = {c.token: c.probability for c in tr.step_distribution(state, ("a",))}
-    with_b = {c.token: c.probability for c in tr.step_distribution(state, ("a", "b"))}
+    only_a = {tok: p for tok, p, _ in step_candidates(tr, ("a",), 0, 0)}
+    with_b = {tok: p for tok, p, _ in step_candidates(tr, ("a", "b"), 0, 0)}
     assert only_a["x"] / only_a["y"] == pytest.approx(with_b["x"] / with_b["y"])
 
 
