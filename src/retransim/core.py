@@ -40,12 +40,26 @@ def check_tokens(tokens: TokenSeq, where: str = "token sequence") -> TokenSeq:
     return tokens
 
 
-def longest_common_prefix(a: TokenSeq, b: TokenSeq) -> TokenSeq:
+def common_prefix_length(a: TokenSeq, b: TokenSeq) -> int:
+    """Length of the longest common prefix of a and b.
+
+    Most pairs the policies and metrics compare have one side a prefix of
+    the other; a slice comparison settles those at C speed, and the token
+    loop runs only when the two diverge.
+    """
+    if b[: len(a)] == a:
+        return len(a)
+    if a[: len(b)] == b:
+        return len(b)
     n = 0
     limit = min(len(a), len(b))
     while n < limit and a[n] == b[n]:
         n += 1
-    return a[:n]
+    return n
+
+
+def longest_common_prefix(a: TokenSeq, b: TokenSeq) -> TokenSeq:
+    return a[: common_prefix_length(a, b)]
 
 
 def is_prefix(a: TokenSeq, b: TokenSeq) -> bool:
@@ -98,8 +112,27 @@ class SessionTrace:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    """The file's lines without their newlines; a file that is not UTF-8 is a CorpusError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+
+
+def utf8_error_location(path: str | Path) -> str:
+    """path:line of the file's first byte that is not UTF-8.
+
+    The text reader's error gives an offset into its read buffer only, so
+    the file is decoded again whole.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{lineno}"
+    return str(path)
 
 
 def read_corpus(

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import SessionTrace, TokenSeq, longest_common_prefix
+from .core import SessionTrace, TokenSeq, common_prefix_length
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def erased_between(previous: TokenSeq, current: TokenSeq) -> int:
 
     Of a step's hypothesis and display, it is the step's mask length.
     """
-    return len(previous) - len(longest_common_prefix(previous, current))
+    return len(previous) - common_prefix_length(previous, current)
 
 
 def total_erasure(trace: SessionTrace) -> int:

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import TokenSeq
+from .core import TokenSeq, utf8_error_location
 from .translator import EOS, UNK, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
@@ -186,8 +186,13 @@ def save_lm(lm: NgramLM, path: str | Path) -> None:
 
 def load_lm(path: str | Path) -> NgramLM:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != LM_FORMAT:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise LMFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise LMFormatError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != LM_FORMAT:
         raise LMFormatError(f"{path}: not a {LM_FORMAT} file")
     if payload.get("version") != LM_VERSION:
         raise LMFormatError(

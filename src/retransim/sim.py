@@ -42,6 +42,8 @@ TRACE_SCHEMA_VERSION = 1
 _TOY_PARAM_TYPES = {
     f.name: type(f.default) for f in dataclasses.fields(ToyModelConfig) if f.name != "lexicon"
 }
+# a scripted translator spec's one parameter
+_SCRIPTED_PARAM_TYPES = {"identity_fallback": bool}
 
 
 class SimulationError(Exception):
@@ -143,35 +145,45 @@ def build_translator(spec: dict):
     """Instantiate a translator from its config dict, wrapped in a cache (translators are pure)."""
     kind = spec.get("kind")
     if kind == "scripted":
-        translator = load_script(
-            spec["script_path"],
-            identity_fallback=bool(spec.get("identity_fallback", False)),
-        )
+        params = _spec_params(spec, "script_path", _SCRIPTED_PARAM_TYPES)
+        translator = load_script(spec["script_path"], **params)
     elif kind == "toy":
-        params = _toy_params(spec)
+        params = _spec_params(spec, "lexicon_path", _TOY_PARAM_TYPES)
+        try:  # the ranges; the lexicon is checked as it loads
+            ToyModelConfig(lexicon={}, **params)
+        except ValueError as exc:
+            raise ConfigError(f"toy translator: {exc}") from exc
         translator = ToyLexicalTranslator(load_lexicon(spec["lexicon_path"], **params))
     else:
         raise ConfigError(f"unknown translator kind {kind!r}")
     return CachingTranslator(translator)
 
 
-def _toy_params(spec: dict) -> dict:
-    """A toy translator spec's decoder parameters, checked before the lexicon loads."""
-    unknown = sorted(spec.keys() - {"kind", "lexicon_path"} - _TOY_PARAM_TYPES.keys())
+def _spec_params(spec: dict, path_key: str, types: dict[str, type]) -> dict:
+    """A translator spec's optional parameters, checked before its file loads.
+
+    The spec may hold only kind, its path key and the keys of types; the
+    path must be a string, and each parameter a value of its type.
+    """
+    where = f"{spec['kind']} translator"
+    unknown = sorted(spec.keys() - {"kind", path_key} - types.keys())
     if unknown:
-        raise ConfigError(f"toy translator: unknown key {unknown[0]!r}")
-    params = {k: spec[k] for k in _TOY_PARAM_TYPES if k in spec}
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    if path_key not in spec:
+        raise ConfigError(f"{where}: missing key {path_key!r}")
+    if not isinstance(spec[path_key], str):
+        raise ConfigError(f"{where}: {path_key} must be str, got {spec[path_key]!r}")
+    params = {k: spec[k] for k in types if k in spec}
     for key, value in params.items():
-        # an int stands for a float, but a bool is no number here
-        want = (int, float) if _TOY_PARAM_TYPES[key] is float else int
-        if isinstance(value, bool) or not isinstance(value, want):
-            raise ConfigError(
-                f"toy translator: {key} must be {_TOY_PARAM_TYPES[key].__name__}, got {value!r}"
+        want = types[key]
+        if want is bool:
+            ok = isinstance(value, bool)
+        else:  # an int stands for a float, but a bool is no number here
+            ok = not isinstance(value, bool) and isinstance(
+                value, (int, float) if want is float else want
             )
-    try:  # the ranges; the lexicon is checked as it loads
-        ToyModelConfig(lexicon={}, **params)
-    except ValueError as exc:
-        raise ConfigError(f"toy translator: {exc}") from exc
+        if not ok:
+            raise ConfigError(f"{where}: {key} must be {want.__name__}, got {value!r}")
     return params
 
 
@@ -533,27 +545,38 @@ def _atomic_write_traces(path: Path, traces, cfg) -> None:
 # ---------------------------------------------------------------------------
 
 
+# trace lines need no sort_keys: trace_to_dict inserts every key in sorted
+# order, so the bytes equal json.dumps(..., sort_keys=True); tuples encode as
+# arrays
+_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def trace_to_dict(trace: SessionTrace) -> dict:
+    """A trace as a JSON-ready dict whose keys, and each record's, are in sorted order."""
     return {
+        "final_output": trace.final_output,
         "kind": "trace",
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "sentence_id": trace.sentence_id,
-        "final_output": list(trace.final_output),
-        "reference": list(trace.reference) if trace.reference is not None else None,
         "records": [
             {
-                "step_index": rec.step_index,
-                "source_prefix": list(rec.source_prefix),
-                "raw_hypothesis": list(rec.raw_hypothesis),
-                "emitted_output": list(rec.emitted_output),
-                "mask_length": rec.mask_length,
+                "emitted_output": rec.emitted_output,
                 "is_final": rec.is_final,
-                "probes": [list(p) for p in rec.probes],
+                "mask_length": rec.mask_length,
                 "n_translate_calls": rec.n_translate_calls,
+                "probes": rec.probes,
+                "raw_hypothesis": rec.raw_hypothesis,
+                "source_prefix": rec.source_prefix,
+                "step_index": rec.step_index,
             }
             for rec in trace.records
         ],
+        "reference": trace.reference,
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "sentence_id": trace.sentence_id,
     }
+
+
+# what an absent probes list reads as; compared by value, never handed out
+_NO_PROBES: list = []
 
 
 def trace_from_dict(data: dict) -> SessionTrace:
@@ -567,19 +590,22 @@ def trace_from_dict(data: dict) -> SessionTrace:
     if missing:
         raise TraceError(f"trace lacks {', '.join(map(repr, missing))}")
     try:
-        records = tuple(
+        # StepRecords built positionally, in field order; absent or empty
+        # probes are (), anything else is converted and may raise
+        records = tuple([
             StepRecord(
-                step_index=rec["step_index"],
-                source_prefix=tuple(rec["source_prefix"]),
-                raw_hypothesis=tuple(rec["raw_hypothesis"]),
-                emitted_output=tuple(rec["emitted_output"]),
-                mask_length=rec["mask_length"],
-                is_final=rec["is_final"],
-                probes=tuple(tuple(p) for p in rec.get("probes", [])),
-                n_translate_calls=rec.get("n_translate_calls", 1),
+                rec["step_index"],
+                tuple(rec["source_prefix"]),
+                tuple(rec["raw_hypothesis"]),
+                tuple(rec["emitted_output"]),
+                rec["mask_length"],
+                rec["is_final"],
+                () if (probes := rec.get("probes", _NO_PROBES)) == _NO_PROBES
+                else tuple(map(tuple, probes)),
+                rec.get("n_translate_calls", 1),
             )
             for rec in data["records"]
-        )
+        ])
     except (AttributeError, KeyError, TypeError) as exc:
         raise TraceError(f"malformed step record: {type(exc).__name__}: {exc}") from exc
     reference = data.get("reference")
@@ -605,9 +631,9 @@ def write_traces(
             }
             fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False))
             fh.write("\n")
+        encode = _TRACE_ENCODER.encode
         for trace in sorted(traces, key=lambda tr: tr.sentence_id):
-            fh.write(json.dumps(trace_to_dict(trace), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+            fh.write(encode(trace_to_dict(trace)) + "\n")
 
 
 def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
@@ -651,6 +677,11 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
     return header, traces
 
 
+def _step_error(trace: SessionTrace, pos: int, problem: str) -> TraceInvariantError:
+    """The error for a bad step; its location is formatted only on failure."""
+    return TraceInvariantError(f"sentence {trace.sentence_id}, step {pos}: {problem}")
+
+
 def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) -> None:
     """Check the session invariants; raises TraceInvariantError on violation.
 
@@ -672,37 +703,40 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
     full = trace.records[-1].raw_hypothesis
     previous: TokenSeq = ()
     for pos, rec in enumerate(trace.records, start=1):
-        where = f"sentence {trace.sentence_id}, step {pos}"
         if rec.step_index != pos:
-            raise TraceInvariantError(f"{where}: step_index {rec.step_index}")
+            raise _step_error(trace, pos, f"step_index {rec.step_index}")
         if rec.source_prefix != source[:pos]:
-            raise TraceInvariantError(f"{where}: source_prefix is not source[:{pos}]")
+            raise _step_error(trace, pos, f"source_prefix is not source[:{pos}]")
         if rec.is_final != (pos == len(source)):
-            raise TraceInvariantError(f"{where}: bad is_final flag")
+            raise _step_error(trace, pos, "bad is_final flag")
         expected_mask = erased_between(rec.raw_hypothesis, rec.emitted_output)
         if rec.mask_length != expected_mask:
-            raise TraceInvariantError(
-                f"{where}: mask_length {rec.mask_length}, expected {expected_mask}"
+            raise _step_error(
+                trace, pos, f"mask_length {rec.mask_length}, expected {expected_mask}"
             )
         if rec.n_translate_calls != 1 + len(rec.probes):
-            raise TraceInvariantError(
-                f"{where}: n_translate_calls {rec.n_translate_calls} "
-                f"for {len(rec.probes)} probes, expected {1 + len(rec.probes)}"
+            raise _step_error(
+                trace,
+                pos,
+                f"n_translate_calls {rec.n_translate_calls} "
+                f"for {len(rec.probes)} probes, expected {1 + len(rec.probes)}",
             )
         if strategy is not None:
             if rec.probes and not _takes_probes(strategy, rec.is_final):
-                raise TraceInvariantError(
-                    f"{where}: {len(rec.probes)} probes on a step that takes none"
+                raise _step_error(
+                    trace, pos, f"{len(rec.probes)} probes on a step that takes none"
                 )
             try:
                 replayed = emit(
                     strategy, rec.raw_hypothesis, rec.probes, previous, rec.is_final, full
                 )
             except ValueError as exc:
-                raise TraceInvariantError(f"{where}: {exc}") from exc
+                raise _step_error(trace, pos, str(exc)) from exc
             if rec.emitted_output != replayed:
-                raise TraceInvariantError(
-                    f"{where}: emitted {list(rec.emitted_output)}, replayed {list(replayed)}"
+                raise _step_error(
+                    trace,
+                    pos,
+                    f"emitted {list(rec.emitted_output)}, replayed {list(replayed)}",
                 )
         previous = rec.emitted_output
     last = trace.records[-1]

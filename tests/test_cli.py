@@ -169,6 +169,71 @@ def test_run_bad_config_value_exits_2_naming_the_key(
     assert key in capsys.readouterr().err
 
 
+def _run_with(workspace, tmp_path, **changes) -> int:
+    """Exit code of `run --config` on the workspace config with top-level changes."""
+    _, cfg, _ = workspace
+    data = {**cfg.to_dict(), **changes}
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return main(["run", "--config", str(path)])
+
+
+def _script(tmp_path) -> str:
+    path = tmp_path / "script.tsv"
+    path.write_text("a\tx\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, path_key", [("toy", "lexicon_path"), ("scripted", "script_path")])
+def test_translator_spec_without_its_path_exits_2(
+    workspace, tmp_path, capsys, monkeypatch, kind, path_key
+):
+    monkeypatch.setattr(sim, "run_sentence", None)
+    assert _run_with(workspace, tmp_path, translator={"kind": kind}) == 2
+    assert f"{kind} translator: missing key {path_key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("identity_fallbak", True),
+        ("identity_fallback", "yes"),
+        ("identity_fallback", 1),
+        ("script_path", 7),
+    ],
+)
+def test_scripted_spec_bad_key_exits_2_naming_it(
+    workspace, tmp_path, capsys, monkeypatch, key, value
+):
+    spec = {"kind": "scripted", "script_path": _script(tmp_path), key: value}
+    monkeypatch.setattr(sim, "run_sentence", None)
+    assert _run_with(workspace, tmp_path, translator=spec) == 2
+    err = capsys.readouterr().err
+    assert "scripted translator: " in err and key in err
+
+
+def test_scripted_spec_with_fallback_runs(workspace, tmp_path):
+    spec = {"kind": "scripted", "script_path": _script(tmp_path), "identity_fallback": True}
+    assert _run_with(workspace, tmp_path, translator=spec) == 0
+
+
+@pytest.mark.parametrize(
+    "key, content, where",
+    [
+        ("lm_path", b'{"format": "retransim-ngram-lm",\n  oops}\n', ":2: "),
+        ("lm_path", b'{"format":\n "\xff"}\n', ":2: not UTF-8"),
+        ("lm_path", b"[]\n", ": not a retransim-ngram-lm file"),
+        ("source_path", b"a b\nc \xff d\n", ":2: not UTF-8"),
+        ("reference_path", b"\xfe\n", ":1: not UTF-8"),
+    ],
+)
+def test_unreadable_input_file_exits_2_naming_it(workspace, tmp_path, capsys, key, content, where):
+    path = tmp_path / "unreadable.txt"
+    path.write_bytes(content)
+    assert _run_with(workspace, tmp_path, **{key: str(path)}) == 2
+    assert f"{path}{where}" in capsys.readouterr().err
+
+
 def test_run_without_config_or_paths_exits_2(capsys):
     assert main(["run", "--strategy", "none"]) == 2
     assert "--config" in capsys.readouterr().err

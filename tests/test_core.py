@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from retransim.core import (
     CorpusError,
     CorpusLengthMismatch,
     SentencePair,
     check_tokens,
+    common_prefix_length,
     is_prefix,
     longest_common_prefix,
     read_corpus,
+    read_lines,
     tokenize,
 )
+from retransim.metrics import erased_between
 from conftest import seq, write_corpus
 
 
@@ -51,6 +57,32 @@ def test_lcp_properties_random():
         if n < min(len(a), len(b)):
             assert a[n] != b[n]
         assert longest_common_prefix(lcp, a) == lcp
+
+
+def _loop_prefix_length(a, b) -> int:
+    """The token loop alone, without the slice-comparison fast paths."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+SHORT_SEQS = st.lists(st.sampled_from("abc"), max_size=6).map(tuple)
+
+
+@given(SHORT_SEQS, SHORT_SEQS)
+def test_prefix_fast_paths_equal_the_token_loop(a, b):
+    # either side empty, equal, a prefix of the other, or diverging
+    for x, y in [(a, b), (a, a), (a, a + b), (a + b, a), ((), a), (a, ())]:
+        n = _loop_prefix_length(x, y)
+        assert common_prefix_length(x, y) == n
+        assert longest_common_prefix(x, y) == x[:n]
+        assert erased_between(x, y) == len(x) - n
+        # a list on one side defeats the tuple fast paths; the loop still
+        # compares tokens, and the prefix keeps the first argument's type
+        assert common_prefix_length(x, list(y)) == n
+        assert type(longest_common_prefix(x, list(y))) is tuple
+        assert longest_common_prefix(list(x), y) == list(x[:n])
 
 
 def test_is_prefix_basics():
@@ -114,3 +146,11 @@ def test_read_corpus_char_mode(tmp_path):
     pairs = read_corpus(src, ref, char_mode=True)
     assert pairs[0].source == ("a", "b")
     assert pairs[0].reference == ("x", "y", "z")
+
+
+def test_read_lines_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "corpus.src"
+    # past the text reader's first buffer, so a buffer offset would be wrong
+    path.write_bytes(b"a b\n" * 5000 + b"c \xff d\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:5001: not UTF-8")):
+        read_lines(path)

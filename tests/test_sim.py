@@ -17,6 +17,7 @@ from retransim.sim import (
     RunConfig,
     SchemaVersionMismatch,
     SimulationError,
+    TraceError,
     TraceInvariantError,
     config_hash,
     load_models,
@@ -224,6 +225,99 @@ def test_trace_dict_round_trip(tmp_path):
     traces, _ = run_corpus(cfg)
     for trace in traces:
         assert trace_from_dict(trace_to_dict(trace)) == trace
+
+
+# any text: non-ASCII, quotes, backslashes, control characters and line
+# separators; JSON escapes what would break a line
+ANY_TOKENS = st.lists(st.text(min_size=1, max_size=4), max_size=4).map(tuple)
+
+
+@st.composite
+def arbitrary_traces(draw):
+    """Traces that need not satisfy any session invariant, only the record types."""
+    records = tuple(
+        StepRecord(
+            draw(st.integers()),
+            draw(ANY_TOKENS),
+            draw(ANY_TOKENS),
+            draw(ANY_TOKENS),
+            draw(st.integers()),
+            draw(st.booleans()),
+            tuple(draw(st.lists(ANY_TOKENS, max_size=3))),
+            draw(st.integers()),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    reference = draw(st.one_of(st.none(), ANY_TOKENS))
+    return SessionTrace(draw(st.integers(-5, 5)), records, draw(ANY_TOKENS), reference)
+
+
+def _list_based_dict(trace: SessionTrace) -> dict:
+    """A trace's dict as written before keys were sorted by construction: lists, any order."""
+    return {
+        "kind": "trace",
+        "schema_version": sim.TRACE_SCHEMA_VERSION,
+        "sentence_id": trace.sentence_id,
+        "final_output": list(trace.final_output),
+        "reference": list(trace.reference) if trace.reference is not None else None,
+        "records": [
+            {
+                "step_index": rec.step_index,
+                "source_prefix": list(rec.source_prefix),
+                "raw_hypothesis": list(rec.raw_hypothesis),
+                "emitted_output": list(rec.emitted_output),
+                "mask_length": rec.mask_length,
+                "is_final": rec.is_final,
+                "probes": [list(p) for p in rec.probes],
+                "n_translate_calls": rec.n_translate_calls,
+            }
+            for rec in trace.records
+        ],
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(arbitrary_traces(), max_size=4))
+def test_arbitrary_traces_round_trip_with_sort_keys_bytes(tmp_path_factory, traces):
+    path = tmp_path_factory.mktemp("roundtrip") / "traces.jsonl"
+    write_traces(path, traces)
+    ordered = sorted(traces, key=lambda tr: tr.sentence_id)
+    assert read_traces(path) == (None, ordered)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [
+        json.dumps(_list_based_dict(tr), sort_keys=True, ensure_ascii=False) for tr in ordered
+    ]
+
+
+@pytest.mark.parametrize(
+    "probes, expected",
+    [
+        ("absent", ()),
+        ([], ()),
+        ([["p", "q"], []], (("p", "q"), ())),
+        (None, "TypeError: 'NoneType' object is not iterable"),
+        (0, "TypeError: 'int' object is not iterable"),
+        ([7], "TypeError: 'int' object is not iterable"),
+    ],
+)
+def test_trace_from_dict_reads_probes(probes, expected):
+    rec = {
+        "step_index": 1,
+        "source_prefix": ["a"],
+        "raw_hypothesis": ["x"],
+        "emitted_output": ["x"],
+        "mask_length": 0,
+        "is_final": True,
+    }
+    if probes != "absent":
+        rec["probes"] = probes
+    data = {"schema_version": 1, "sentence_id": 0, "final_output": ["x"], "records": [rec]}
+    if isinstance(expected, tuple):
+        assert trace_from_dict(data).records[0].probes == expected
+    else:
+        with pytest.raises(TraceError, match=f"^malformed step record: {expected}$"):
+            trace_from_dict(data)
 
 
 def test_schema_version_mismatch(tmp_path):
