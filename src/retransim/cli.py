@@ -9,7 +9,6 @@ plotting; nothing is rendered in-process. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +25,6 @@ from .metrics import (
 from .predict import (
     EmptyCorpus,
     LMFormatError,
-    PredictorConfig,
     PredictorError,
     save_lm,
     train_lm,
@@ -94,78 +92,38 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_predictor(args: argparse.Namespace, current: PredictorConfig | None) -> PredictorConfig | None:
-    if args.predictor is None and current is None:
-        return None
-    base = current or PredictorConfig(strategy=args.predictor or "lm_greedy")
-    updates: dict = {}
-    if args.predictor is not None:
-        updates["strategy"] = args.predictor
-    if args.pred_k is not None:
-        updates["k"] = args.pred_k
-    if args.pred_n is not None:
-        updates["n"] = args.pred_n
-    return dataclasses.replace(base, **updates) if updates else base
-
-
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+    """The run config file, or the paths given as flags, with the other flags laid over it."""
     if args.config:
-        cfg = load_run_config(args.config, parallelism=args.parallelism)
+        data = load_run_config(args.config).to_dict()
+    elif not (args.source and args.reference):
+        raise ConfigError("need --config, or --source and --reference")
+    elif args.lexicon:
+        data = {"translator": {"kind": "toy", "lexicon_path": args.lexicon}}
+        _overlay(data["translator"], beam_size=args.beam_size, distortion=args.distortion,
+                 instability=args.instability, max_len_ratio=args.max_len_ratio,
+                 seed=args.model_seed)
+    elif args.script:
+        data = {"translator": {"kind": "scripted", "script_path": args.script,
+                               "identity_fallback": args.identity_fallback}}
     else:
-        if not (args.source and args.reference):
-            raise ConfigError("need --config, or --source and --reference")
-        if args.lexicon:
-            translator = {"kind": "toy", "lexicon_path": args.lexicon}
-            for key, value in (
-                ("beam_size", args.beam_size),
-                ("distortion", args.distortion),
-                ("instability", args.instability),
-                ("max_len_ratio", args.max_len_ratio),
-                ("seed", args.model_seed),
-            ):
-                if value is not None:
-                    translator[key] = value
-        elif args.script:
-            translator = {
-                "kind": "scripted",
-                "script_path": args.script,
-                "identity_fallback": args.identity_fallback,
-            }
-        else:
-            raise ConfigError("need --lexicon (toy translator) or --script (scripted)")
-        cfg = RunConfig(
-            source_path=args.source,
-            reference_path=args.reference,
-            translator=translator,
-            strategy=StrategyConfig("none"),
-            parallelism=args.parallelism,
-        )
+        raise ConfigError("need --lexicon (toy translator) or --script (scripted)")
+    _overlay(data, source_path=args.source, reference_path=args.reference,
+             char_mode=args.char_mode or None, seed=args.seed, lm_path=args.lm,
+             ne_mode=args.ne_mode)
+    strategy = data.setdefault("strategy", {"kind": "none"})
+    _overlay(strategy, kind=args.strategy, k_mask=args.k_mask, bias_beta=args.beta)
+    predictor = strategy.get("predictor") or ({} if args.predictor else None)
+    if predictor is not None:
+        _overlay(predictor, strategy=args.predictor, k=args.pred_k, n=args.pred_n)
+    strategy["predictor"] = predictor if strategy["kind"] == "dynamic" else None
+    where = f"flags over {args.config}" if args.config else "flags"
+    return RunConfig.from_dict(data, args.parallelism, where=where)
 
-    updates: dict = {}
-    if args.source and args.config:
-        updates["source_path"] = args.source
-    if args.reference and args.config:
-        updates["reference_path"] = args.reference
-    if args.char_mode:
-        updates["char_mode"] = True
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.lm is not None:
-        updates["lm_path"] = args.lm
-    if args.ne_mode is not None:
-        updates["ne_mode"] = args.ne_mode
 
-    strat = cfg.strategy
-    kind = args.strategy or strat.kind
-    predictor = _build_predictor(args, strat.predictor)
-    strategy = StrategyConfig(
-        kind=kind,
-        k_mask=args.k_mask if args.k_mask is not None else strat.k_mask,
-        predictor=predictor if kind == "dynamic" else None,
-        bias_beta=args.beta if args.beta is not None else strat.bias_beta,
-    )
-    updates["strategy"] = strategy
-    return dataclasses.replace(cfg, **updates)
+def _overlay(data: dict, **flags) -> None:
+    """Set each key whose flag was given."""
+    data.update((key, value) for key, value in flags.items() if value is not None)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -213,10 +171,7 @@ def _read_valid_traces(path: str) -> tuple[RunConfig | None, list[SessionTrace]]
         raise TraceError(f"{path}: no traces")
     cfg = None
     if header is not None:
-        try:
-            cfg = RunConfig.from_dict(header.get("config"))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: run header: {exc}") from exc
+        cfg = RunConfig.from_dict(header.get("config"), where=f"{path}: run header")
     for trace in traces:
         try:
             validate_trace(trace, cfg.strategy if cfg else None)

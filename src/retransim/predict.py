@@ -58,7 +58,7 @@ class NgramLM:
     ):
         if not 1 <= order <= 4:
             raise ValueError(f"order must be in [1, 4], got {order}")
-        if smoothing_alpha <= 0:
+        if not smoothing_alpha > 0:  # NaN too
             raise ValueError("smoothing_alpha must be > 0")
         self.order = order
         self.counts = counts
@@ -198,15 +198,39 @@ def load_lm(path: str | Path) -> NgramLM:
         raise LMFormatError(
             f"{path}: version {payload.get('version')} unsupported (expected {LM_VERSION})"
         )
-    counts = {
-        int(o): {
-            tuple(ctx.split("\x1f")) if ctx else (): {t: int(c) for t, c in table.items()}
-            for ctx, table in tables.items()
+    fields = (
+        ("order", int, "int"),
+        ("smoothing_alpha", (int, float), "number"),
+        ("vocabulary", list, "list"),
+        ("counts", dict, "object"),
+    )
+    unknown = sorted(payload.keys() - {"format", "version"} - {key for key, _, _ in fields})
+    if unknown:
+        raise LMFormatError(f"{path}: unknown key {unknown[0]!r}")
+    for key, want, name in fields:
+        if key not in payload:
+            raise LMFormatError(f"{path}: missing key {key!r}")
+        if not isinstance(payload[key], want) or isinstance(payload[key], bool):
+            raise LMFormatError(f"{path}: {key}: expected {name}, got {payload[key]!r}")
+    if not all(isinstance(tok, str) for tok in payload["vocabulary"]):
+        raise LMFormatError(f"{path}: vocabulary: expected a list of str")
+    try:
+        counts = {
+            int(o): {
+                tuple(ctx.split("\x1f")) if ctx else (): {t: int(c) for t, c in table.items()}
+                for ctx, table in tables.items()
+            }
+            for o, tables in payload["counts"].items()
         }
-        for o, tables in payload["counts"].items()
-    }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise LMFormatError(f"{path}: counts: malformed count table: {exc}") from exc
+    if 1 not in counts:
+        raise LMFormatError(f"{path}: counts: no order-1 table")
     vocab = set(payload["vocabulary"]) - {UNK, EOS}
-    return NgramLM(payload["order"], counts, vocab, payload["smoothing_alpha"])
+    try:
+        return NgramLM(payload["order"], counts, vocab, payload["smoothing_alpha"])
+    except ValueError as exc:
+        raise LMFormatError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

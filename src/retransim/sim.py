@@ -12,17 +12,22 @@ replays a recorded session through the same emission policy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
+from .core import utf8_error_location
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
 from .strategy import StrategyConfig, emit
@@ -36,14 +41,6 @@ from .translator import (
 )
 
 TRACE_SCHEMA_VERSION = 1
-
-# a toy translator spec's decoder parameters: each ToyModelConfig field but
-# the lexicon, with the type of its default
-_TOY_PARAM_TYPES = {
-    f.name: type(f.default) for f in dataclasses.fields(ToyModelConfig) if f.name != "lexicon"
-}
-# a scripted translator spec's one parameter
-_SCRIPTED_PARAM_TYPES = {"identity_fallback": bool}
 
 
 class SimulationError(Exception):
@@ -66,27 +63,139 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+def _join(sep: str, *parts: str) -> str:
+    return sep.join(part for part in parts if part)
+
+
+# evaluated annotations per config class: evaluating them costs ~170 us a class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def read_config(cls, data, where: str, key: str = ""):
+    """A cls built from data, a parsed JSON object, with cls's fields as its schema.
+
+    Every key must name a field and every field without a default must be
+    present. Each value must have its field's annotated type: a nested
+    dataclass is an object read the same way, tuple[X, ...] a list of X
+    and X | None also null. Values are checked, never converted, so an
+    int stands for a float but a bool, NaN or an infinity is no number.
+    Field metadata may put a field in a nested object ("section"), keep it
+    out of the file ("key": False) or check its value further ("check":
+    f(value, where)). Every failure, __post_init__'s range checks
+    included, is a ConfigError "<where>: <key.path>: <problem>".
+    """
+    hints = _type_hints(cls)
+    sections: dict[str, list[dataclasses.Field]] = {"": []}
+    for f in dataclasses.fields(cls):
+        if f.metadata.get("key", True):
+            sections.setdefault(f.metadata.get("section", ""), []).append(f)
+    top = _object(data, where, key)
+    values = {}
+    for section, fields in sections.items():
+        obj = _object(top.get(section, {}), where, _join(".", key, section)) if section else top
+        allowed = {f.name for f in fields} | (set() if section else sections.keys() - {""})
+        unknown = sorted(obj.keys() - allowed)
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {_join('.', key, section, unknown[0])!r}")
+        for f in fields:
+            path = _join(".", key, section, f.name)
+            if f.name in obj:
+                values[f.name] = _read_value(hints[f.name], obj[f.name], where, path)
+                if "check" in f.metadata:
+                    f.metadata["check"](values[f.name], _join(": ", where, path))
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing key {path!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(_join(": ", where, key, str(exc))) from exc
+
+
+def _object(data, where: str, key: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(_join(": ", where, key, f"expected an object, got {data!r}"))
+    return data
+
+
+def _read_value(tp, value, where: str, key: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return read_config(tp, value, where, key)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _read_value(args[0], value, where, key)
+    if origin is tuple:  # tuple[X, ...], a list in JSON
+        if isinstance(value, list):
+            return tuple(_read_value(args[0], v, where, f"{key}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, (int, float) if tp is float else tp):
+        if tp is bool or not isinstance(value, bool):  # an int stands for a float, a bool is no number
+            if not isinstance(value, float) or math.isfinite(value):
+                return value
+    want = "list" if origin is tuple else tp.__name__
+    raise ConfigError(f"{where}: {key}: expected {want}, got {value!r}")
+
+
+def _load_json(path: str | Path):
+    """A JSON file's value; bytes that are not UTF-8 or not JSON are a ConfigError naming path:line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+
+
+@dataclass(frozen=True)
+class ScriptedSpec:
+    """A scripted translator spec's keys besides kind."""
+
+    script_path: str
+    identity_fallback: bool = False
+
+
+@dataclass(frozen=True, kw_only=True)
+class ToySpec(ToyModelConfig):
+    """A toy translator spec's keys besides kind: its lexicon file and the
+    decoder parameters, each ToyModelConfig field but the lexicon."""
+
+    lexicon: dict = dataclasses.field(default_factory=dict, metadata={"key": False})
+    lexicon_path: str
+
+
+_TRANSLATOR_SPECS = {"scripted": ScriptedSpec, "toy": ToySpec}
+
+
+def translator_spec(spec: dict, where: str = "") -> ScriptedSpec | ToySpec:
+    """A translator config dict read as its kind's spec; range checks included."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _TRANSLATOR_SPECS:
+        raise ConfigError(_join(": ", where, f"unknown translator kind {kind!r}"))
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    return read_config(_TRANSLATOR_SPECS[kind], params, _join(": ", where, f"{kind} translator"))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run.
 
     translator is a plain dict so configs stay serializable:
     {"kind": "toy", "lexicon_path": ..., beam_size/distortion/...}
-    or {"kind": "scripted", "script_path": ..., "identity_fallback": ...}.
+    or {"kind": "scripted", "script_path": ..., "identity_fallback": ...};
+    from_dict checks it against ToySpec or ScriptedSpec.
     parallelism is the number of worker processes that simulate
-    sentences; it is an execution detail, excluded from the serialized
+    sentences; it is an execution detail, no key of the serialized
     form, and must never change results.
     """
 
     source_path: str
     reference_path: str
-    translator: dict
+    translator: dict = dataclasses.field(metadata={"check": translator_spec})
     strategy: StrategyConfig
     char_mode: bool = False
     seed: int = 0
     lm_path: str | None = None
     ne_mode: str = "mean"
-    parallelism: int = 1
+    parallelism: int = dataclasses.field(default=1, metadata={"key": False})
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -100,25 +209,10 @@ class RunConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict, parallelism: int = 1) -> "RunConfig":
-        try:
-            strat_data = dict(data["strategy"])
-            pred_data = strat_data.pop("predictor", None)
-            predictor = PredictorConfig(**pred_data) if pred_data else None
-            strategy = StrategyConfig(predictor=predictor, **strat_data)
-            return cls(
-                source_path=data["source_path"],
-                reference_path=data["reference_path"],
-                translator=dict(data["translator"]),
-                strategy=strategy,
-                char_mode=data.get("char_mode", False),
-                seed=data.get("seed", 0),
-                lm_path=data.get("lm_path"),
-                ne_mode=data.get("ne_mode", "mean"),
-                parallelism=parallelism,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from exc
+    def from_dict(cls, data, parallelism: int = 1, where: str = "") -> "RunConfig":
+        """Read a run config object; where (a file, say) prefixes every error."""
+        cfg = read_config(cls, data, _join(": ", where, "bad run config"))
+        return dataclasses.replace(cfg, parallelism=parallelism)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -127,12 +221,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def load_run_config(path: str | Path, parallelism: int = 1) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return RunConfig.from_dict(data, parallelism=parallelism)
+    return RunConfig.from_dict(_load_json(path), parallelism, where=str(path))
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
@@ -143,48 +232,13 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 
 def build_translator(spec: dict):
     """Instantiate a translator from its config dict, wrapped in a cache (translators are pure)."""
-    kind = spec.get("kind")
-    if kind == "scripted":
-        params = _spec_params(spec, "script_path", _SCRIPTED_PARAM_TYPES)
-        translator = load_script(spec["script_path"], **params)
-    elif kind == "toy":
-        params = _spec_params(spec, "lexicon_path", _TOY_PARAM_TYPES)
-        try:  # the ranges; the lexicon is checked as it loads
-            ToyModelConfig(lexicon={}, **params)
-        except ValueError as exc:
-            raise ConfigError(f"toy translator: {exc}") from exc
-        translator = ToyLexicalTranslator(load_lexicon(spec["lexicon_path"], **params))
+    checked = translator_spec(spec)
+    if isinstance(checked, ScriptedSpec):
+        translator = load_script(checked.script_path, checked.identity_fallback)
     else:
-        raise ConfigError(f"unknown translator kind {kind!r}")
+        params = {k: v for k, v in spec.items() if k not in ("kind", "lexicon_path")}
+        translator = ToyLexicalTranslator(load_lexicon(checked.lexicon_path, **params))
     return CachingTranslator(translator)
-
-
-def _spec_params(spec: dict, path_key: str, types: dict[str, type]) -> dict:
-    """A translator spec's optional parameters, checked before its file loads.
-
-    The spec may hold only kind, its path key and the keys of types; the
-    path must be a string, and each parameter a value of its type.
-    """
-    where = f"{spec['kind']} translator"
-    unknown = sorted(spec.keys() - {"kind", path_key} - types.keys())
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-    if path_key not in spec:
-        raise ConfigError(f"{where}: missing key {path_key!r}")
-    if not isinstance(spec[path_key], str):
-        raise ConfigError(f"{where}: {path_key} must be str, got {spec[path_key]!r}")
-    params = {k: spec[k] for k in types if k in spec}
-    for key, value in params.items():
-        want = types[key]
-        if want is bool:
-            ok = isinstance(value, bool)
-        else:  # an int stands for a float, but a bool is no number here
-            ok = not isinstance(value, bool) and isinstance(
-                value, (int, float) if want is float else want
-            )
-        if not ok:
-            raise ConfigError(f"{where}: {key} must be {want.__name__}, got {value!r}")
-    return params
 
 
 @dataclass
@@ -402,6 +456,10 @@ class SweepCellError(Exception):
     """A sweep cell failed; message carries the cell's label, __cause__ the error."""
 
 
+# the field metadata of a sweep axis: its key sits in the spec's "axes" object
+_AXIS = {"section": "axes"}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of strategies over one base run configuration.
@@ -413,14 +471,17 @@ class SweepSpec:
     """
 
     base: RunConfig
-    k_mask: tuple[int, ...] = ()
-    bias_beta: tuple[float, ...] = (0.0,)
-    predictor_strategy: tuple[str, ...] = ()
-    predictor_k: tuple[int, ...] = ()
-    predictor_n: tuple[int, ...] = ()
+    k_mask: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
+    bias_beta: tuple[float, ...] = dataclasses.field(default=(0.0,), metadata=_AXIS)
+    predictor_strategy: tuple[str, ...] = dataclasses.field(default=(), metadata=_AXIS)
+    predictor_k: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
+    predictor_n: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
     dynamic_cells: tuple[PredictorConfig, ...] = ()
     include_none: bool = False
     include_oracle: bool = False
+
+    def __post_init__(self) -> None:
+        self.cells()  # every cell a valid strategy, and the labels unique
 
     def cells(self) -> list[StrategyConfig]:
         betas = self.bias_beta or (0.0,)
@@ -453,34 +514,16 @@ class SweepSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict, base_parallelism: int = 1) -> "SweepSpec":
-        base = RunConfig.from_dict(data["base"], parallelism=base_parallelism)
-        axes = data.get("axes", {})
-        cells = tuple(
-            PredictorConfig(**cell) for cell in data.get("dynamic_cells", [])
-        )
-        return cls(
-            base=base,
-            k_mask=tuple(axes.get("k_mask", [])),
-            bias_beta=tuple(axes.get("bias_beta", [0.0])),
-            predictor_strategy=tuple(axes.get("predictor_strategy", [])),
-            predictor_k=tuple(axes.get("predictor_k", [])),
-            predictor_n=tuple(axes.get("predictor_n", [])),
-            dynamic_cells=cells,
-            include_none=bool(data.get("include_none", False)),
-            include_oracle=bool(data.get("include_oracle", False)),
+    def from_dict(cls, data, base_parallelism: int = 1, where: str = "") -> "SweepSpec":
+        """Read a sweep spec object; where (a file, say) prefixes every error."""
+        spec = read_config(cls, data, _join(": ", where, "bad sweep spec"))
+        return dataclasses.replace(
+            spec, base=dataclasses.replace(spec.base, parallelism=base_parallelism)
         )
 
 
 def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if "base" not in data:
-        raise ConfigError(f"{path}: sweep spec needs a 'base' run config")
-    return SweepSpec.from_dict(data, base_parallelism=parallelism)
+    return SweepSpec.from_dict(_load_json(path), parallelism, where=str(path))
 
 
 def run_sweep(
@@ -636,12 +679,20 @@ def write_traces(
             fh.write(encode(trace_to_dict(trace)) + "\n")
 
 
+def _numbered_lines(fh, path: str | Path):
+    """(line number, line) of a text file; a byte that is not UTF-8 is a TraceError naming it."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+
+
 def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
     """Read a trace file back; returns (header or None, traces)."""
     header: dict | None = None
     traces: list[SessionTrace] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
