@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parallelism", type=int, default=1,
         help="worker processes, sharded by sentence; each runs every cell over "
-        "its sentences with its own translator cache (default 1: in-process)",
+        "its sentences (default 1: in-process)",
     )
     p.set_defaults(func=_cmd_sweep)
 

@@ -113,11 +113,17 @@ class SessionTrace:
 
 def read_lines(path: str | Path) -> list[str]:
     """The file's lines without their newlines; a file that is not UTF-8 is a CorpusError."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for _, line in numbered_lines(fh, path, CorpusError)]
+
+
+def numbered_lines(fh, path: str | Path, error: type[Exception]):
+    """(line number, line) of a text file; a byte that is not UTF-8 raises
+    error("path:line: not UTF-8: ...")."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
+        yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+        raise error(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
 
 
 def utf8_error_location(path: str | Path) -> str:

@@ -8,15 +8,19 @@ are reproducible from (seed, sentence_id, step_index, sample_index).
 
 from __future__ import annotations
 
+import _random
+import ctypes
 import json
 import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .core import TokenSeq, utf8_error_location
-from .translator import EOS, UNK, mix64
+from . import translator
+from .translator import _MASK64, EOS, UNK, _avalanche, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
 LM_VERSION = 1
@@ -99,16 +103,11 @@ class NgramLM:
     def _build_table(self, table: dict[str, int]) -> tuple[array, str]:
         a = self.smoothing_alpha
         denom = sum(table.values()) + a * len(self.vocabulary)
-        cum = array("d")
-        acc = 0.0
-        best, best_count = "", -1
-        for t in self._sorted_vocab:
-            c = table.get(t, 0)
-            acc += (c + a) / denom
-            cum.append(acc)
-            if c > best_count:
-                best, best_count = t, c
-        return cum, best
+        vocab = self._sorted_vocab
+        counts = [table.get(t, 0) for t in vocab]
+        cum = array("d", accumulate([(c + a) / denom for c in counts]))
+        # index finds the first of equal counts: the smallest token
+        return cum, vocab[counts.index(max(counts))]
 
     def prob(self, token: str, context: TokenSeq = ()) -> float:
         if token not in self.vocabulary:
@@ -133,9 +132,12 @@ class NgramLM:
         """The first token, in sorted-vocabulary order, whose left-to-right
         cumulative probability exceeds one uniform draw; the last token
         when float rounding leaves the draw above the final sum."""
+        return self._sample_at(context, rng.random())
+
+    def _sample_at(self, context: TokenSeq, u: float) -> str:
+        """sample's token for the uniform draw u."""
         cum = self._table(context)[0]
-        i = bisect_right(cum, rng.random())
-        return self._sorted_vocab[min(i, len(cum) - 1)]
+        return self._sorted_vocab[min(bisect_right(cum, u), len(cum) - 1)]
 
 
 def train_lm(
@@ -217,11 +219,15 @@ def load_lm(path: str | Path) -> NgramLM:
     try:
         counts = {
             int(o): {
-                tuple(ctx.split("\x1f")) if ctx else (): {t: int(c) for t, c in table.items()}
+                tuple(ctx.split("\x1f")) if ctx else (): {
+                    t: _count(c, path, o, t) for t, c in table.items()
+                }
                 for ctx, table in tables.items()
             }
             for o, tables in payload["counts"].items()
         }
+    except LMFormatError:
+        raise
     except (AttributeError, TypeError, ValueError) as exc:
         raise LMFormatError(f"{path}: counts: malformed count table: {exc}") from exc
     if 1 not in counts:
@@ -231,6 +237,16 @@ def load_lm(path: str | Path) -> NgramLM:
         return NgramLM(payload["order"], counts, vocab, payload["smoothing_alpha"])
     except ValueError as exc:
         raise LMFormatError(f"{path}: {exc}") from exc
+
+
+def _count(value, path: str | Path, order: str, token: str) -> int:
+    """An n-gram count as load_lm accepts it: an int >= 0, no bool."""
+    if type(value) is not int or value < 0:
+        raise LMFormatError(
+            f"{path}: counts: order {order}, token {token!r}: "
+            f"expected an int >= 0, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -299,26 +315,62 @@ def predict_extensions(
         if not vocab:
             raise PredictorError("random strategy requires a vocabulary")
         pool = sorted(vocab)
-        out = []
-        for s in range(cfg.n):
-            rng = random.Random(mix64(cfg.seed, sentence_id, step_index, s))
-            seq = tuple(prefix) + tuple(
-                pool[rng.randrange(len(pool))] for _ in range(cfg.k)
-            )
-            out.append(seq)
-        return out
+        return [
+            tuple(prefix) + tuple([pool[i] for i in picks])
+            for picks in _sample_draws(cfg, sentence_id, step_index, len(pool))
+        ]
 
     # lm_sample
     assert lm is not None
     out = []
-    for s in range(cfg.n):
-        rng = random.Random(mix64(cfg.seed, sentence_id, step_index, s))
+    for draws in _sample_draws(cfg, sentence_id, step_index):
         seq = list(prefix)
-        for _ in range(cfg.k):
+        for u in draws:
             ctx = tuple(seq[-(lm.order - 1) :]) if lm.order > 1 else ()
-            token = lm.sample(ctx, rng)
+            token = lm._sample_at(ctx, u)
             if token == EOS:
                 break
             seq.append(token)
         out.append(tuple(seq))
     return out
+
+
+def _sample_draws(
+    cfg: PredictorConfig, sentence_id: int, step_index: int, below: int = 0
+) -> list[list]:
+    """cfg.k draws for each of cfg.n samples: those of sample s come from
+    random.Random(mix64(cfg.seed, sentence_id, step_index, s)), as random()
+    when below is 0, else as randrange(below). The decoder kernel draws
+    them all in one call; without it, one random.Random is reseeded for
+    each sample. A sample that stops early leaves its last draws unused.
+    """
+    n, k = cfg.n, cfg.k
+    if translator._kernel is None:
+        return [
+            [rng.randrange(below) if below else rng.random() for _ in range(k)]
+            for rng in _sample_rngs(cfg.seed, sentence_id, step_index, n)
+        ]
+    # a vocabulary below 2**31 words fits the kernel's int32 picks
+    out = ((ctypes.c_int32 if below else ctypes.c_double) * (n * k))()
+    translator._kernel.rt_sample_draws(
+        cfg.seed & _MASK64, sentence_id & _MASK64, step_index & _MASK64, n, k, below, out
+    )
+    draws = out[:]
+    return [draws[s * k : (s + 1) * k] for s in range(n)]
+
+
+def _sample_rngs(seed: int, sentence_id: int, step_index: int, n: int):
+    """For each sample s < n, one generator seeded with
+    mix64(seed, sentence_id, step_index, s): the same one, reseeded."""
+    stream = mix64(seed, sentence_id, step_index)
+    rng = random.Random(_sample_seed(stream, 0))
+    yield rng
+    for s in range(1, n):
+        # random.Random.seed's int case, without its Python wrapper
+        _random.Random.seed(rng, _sample_seed(stream, s))
+        yield rng
+
+
+def _sample_seed(stream: int, s: int) -> int:
+    """mix64(seed, sentence_id, step_index, s), given stream = mix64(seed, sentence_id, step_index)."""
+    return _avalanche(stream ^ _avalanche(s & _MASK64))

@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
-from .core import utf8_error_location
+from .core import numbered_lines, utf8_error_location
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
 from .strategy import StrategyConfig, emit
@@ -231,19 +231,21 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 
 
 def build_translator(spec: dict):
-    """Instantiate a translator from its config dict, wrapped in a cache (translators are pure)."""
+    """Instantiate a translator from its config dict."""
     checked = translator_spec(spec)
     if isinstance(checked, ScriptedSpec):
-        translator = load_script(checked.script_path, checked.identity_fallback)
-    else:
-        params = {k: v for k, v in spec.items() if k not in ("kind", "lexicon_path")}
-        translator = ToyLexicalTranslator(load_lexicon(checked.lexicon_path, **params))
-    return CachingTranslator(translator)
+        return load_script(checked.script_path, checked.identity_fallback)
+    params = {k: v for k, v in spec.items() if k not in ("kind", "lexicon_path")}
+    return ToyLexicalTranslator(load_lexicon(checked.lexicon_path, **params))
 
 
 @dataclass
 class Models:
-    """Shared read-only models for a run: translator, optional LM, vocab."""
+    """Shared read-only models for a run: translator, optional LM, vocab.
+
+    The translator is anything with translate_many (see translator.py);
+    the simulator memoizes its results one sentence at a time.
+    """
 
     translator: object
     lm: NgramLM | None = None
@@ -281,80 +283,186 @@ def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
 
 
 def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionTrace:
-    """Simulate one sentence: reveal, retranslate, probe, emit, record."""
-    strat = cfg.strategy
-    translator = models.translator
-    source = pair.source
-    if not source:
-        raise CorpusError(f"sentence {pair.sentence_id}: empty source")
-    predictor = strat.predictor
-    if predictor is not None:
-        # fold the run seed into the predictor stream; per-draw seeding
-        # also mixes sentence_id, so results are order-independent
-        predictor = dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
+    """Simulate one sentence: reveal, retranslate, probe, emit, record.
 
-    previous: TokenSeq = ()
-    full_translation: TokenSeq | None = None
-    if strat.kind == "oracle":
+    The one-config case of simulate_sentence; raises its error.
+    """
+    traces, failure = simulate_sentence([cfg], pair, models)
+    if failure is not None:
+        raise failure[1]
+    return traces[0]
+
+
+def simulate_sentence(
+    cfgs: list[RunConfig], pair: SentencePair, models: Models
+) -> tuple[list[SessionTrace], tuple[int, Exception] | None]:
+    """Every config's session over one sentence.
+
+    Returns (one trace per config, None), or, when config c fails, the
+    traces of the configs before it and (c, error). The work that does
+    not depend on what a session displays is done once for all configs:
+    each distinct predictor draws its probes, and one translate_many
+    call translates every prefix hypothesis and every probe of the
+    unbiased configs. Biased configs translate step by step, because
+    their bias is their own previous display. All translations go
+    through one memo that lives for this sentence.
+    """
+    try:
+        sentence = _Sentence(cfgs, pair, models)
+    except Exception as exc:  # the first config would have met it first
+        return [], (0, exc)
+    traces = []
+    for index in range(len(cfgs)):
         try:
-            full_translation = translator.translate(source, source_is_final=True).tokens
-        except Exception as exc:
-            raise SimulationError(
-                f"sentence {pair.sentence_id}, step {len(source)}: {exc}"
-            ) from exc
+            traces.append(sentence.session(index))
+        except Exception as exc:  # returned, so the caller can pick the serial order's first
+            return traces, (index, exc)
+    return traces, None
 
-    records: list[StepRecord] = []
-    for i in range(1, len(source) + 1):
-        prefix = source[:i]
-        is_final = i == len(source)
-        bias = None
-        if strat.bias_beta > 0.0 and previous:
-            bias = BiasSpec(previous, strat.bias_beta)
 
-        probe_outputs: tuple[TokenSeq, ...] = ()
-        try:
-            if strat.kind == "oracle" and is_final:
-                hyp = full_translation  # the upfront full-sentence call
-            else:
-                hyp = translator.translate(prefix, bias=bias, source_is_final=is_final).tokens
-            if _takes_probes(strat, is_final):
-                extensions = predict_extensions(
-                    predictor,
-                    models.lm,
-                    models.vocab,
+def _probe_key(cfg: RunConfig) -> PredictorConfig | None:
+    """The predictor a config probes with, its seed folded with the run
+    seed; per-draw seeding also mixes sentence_id, so results are
+    order-independent. None for configs that take no probes."""
+    if cfg.strategy.kind != "dynamic":
+        return None
+    predictor = cfg.strategy.predictor
+    return dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
+
+
+def _step_failure(error: Exception, pair: SentencePair, step: int) -> SimulationError:
+    """The error that stops a session at a step, with its location."""
+    return SimulationError(f"sentence {pair.sentence_id}, step {step}: {error}")
+
+
+class _Sentence:
+    """One sentence's display-independent inputs, shared by every config.
+
+    Translator and predictor errors are kept as values; each is raised
+    by the first step that needs it, in the order hypothesis, probe
+    draws, probe translations.
+    """
+
+    def __init__(self, cfgs: list[RunConfig], pair: SentencePair, models: Models):
+        if not pair.source:
+            raise CorpusError(f"sentence {pair.sentence_id}: empty source")
+        self.cfgs, self.pair = cfgs, pair
+        self.keys = [_probe_key(cfg) for cfg in cfgs]
+        self.prefixes = [pair.source[:i] for i in range(1, len(pair.source) + 1)]
+        self.memo = CachingTranslator(models.translator)
+        # per predictor: each non-final step's extensions, or the predictor's error
+        self.draws: dict[PredictorConfig, list] = {}
+        for key in dict.fromkeys(self.keys):
+            if key is not None:
+                self.draws[key] = [
+                    _draw(key, models, prefix, pair.sentence_id, i)
+                    for i, prefix in enumerate(self.prefixes[:-1], start=1)
+                ]
+        # the unbiased configs' hypotheses, and probe translations per
+        # predictor, from one translate_many call
+        unbiased = [key for cfg, key in zip(cfgs, self.keys) if cfg.strategy.bias_beta == 0.0]
+        keys = [key for key in dict.fromkeys(unbiased) if key is not None]
+        requests = []
+        if unbiased:
+            n = len(self.prefixes)
+            requests = [(prefix, None, i == n) for i, prefix in enumerate(self.prefixes, start=1)]
+        for key in keys:
+            for extensions in self.draws[key]:
+                requests += _probe_requests(extensions, None)
+        results = iter(self.memo.translate_many(requests))
+        self.hyps = [_tokens(next(results)) for _ in self.prefixes] if unbiased else []
+        self.probes = {
+            key: [_probe_outputs(extensions, results) for extensions in self.draws[key]]
+            for key in keys
+        }
+
+    def session(self, index: int) -> SessionTrace:
+        """Config index's session over the sentence."""
+        strat = self.cfgs[index].strategy
+        pair = self.pair
+        key = self.keys[index]
+        draws, hyps, probes_of = self.draws.get(key), self.hyps, self.probes.get(key)
+        n = len(self.prefixes)
+        full_translation: TokenSeq | None = None
+        if strat.kind == "oracle":  # translated before the first step
+            full_translation = hyps[-1]
+            if isinstance(full_translation, Exception):
+                raise _step_failure(full_translation, pair, n) from full_translation
+
+        previous: TokenSeq = ()
+        records: list[StepRecord] = []
+        for i, prefix in enumerate(self.prefixes, start=1):
+            is_final = i == n
+            if strat.bias_beta == 0.0:
+                hyp = hyps[i - 1]
+                probes = probes_of[i - 1] if probes_of is not None and not is_final else ()
+            else:  # decoded towards this session's own previous display
+                extensions = draws[i - 1] if draws is not None and not is_final else ()
+                bias = BiasSpec(previous, strat.bias_beta) if previous else None
+                requests = [(prefix, bias, is_final)] + _probe_requests(extensions, bias)
+                results = iter(self.memo.translate_many(requests))
+                hyp = _tokens(next(results))
+                probes = _probe_outputs(extensions, results)
+            if isinstance(hyp, Exception):
+                raise _step_failure(hyp, pair, i) from hyp
+            if isinstance(probes, Exception):
+                raise _step_failure(probes, pair, i) from probes
+            # emission stays outside the checks: its bugs are not input errors
+            output = emit(strat, hyp, probes, previous, is_final, full_translation)
+            records.append(
+                StepRecord(
+                    i,
                     prefix,
-                    sentence_id=pair.sentence_id,
-                    step_index=i,
+                    hyp,
+                    output,
+                    erased_between(hyp, output),
+                    is_final,
+                    probes,
+                    1 + len(probes),
                 )
-                probe_outputs = tuple(
-                    translator.translate(ext, bias=bias, source_is_final=False).tokens
-                    for ext in extensions
-                )
-        except Exception as exc:
-            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
-
-        # emission stays outside the try: its bugs are not input errors
-        output = emit(strat, hyp, probe_outputs, previous, is_final, full_translation)
-        records.append(
-            StepRecord(
-                step_index=i,
-                source_prefix=prefix,
-                raw_hypothesis=hyp,
-                emitted_output=output,
-                mask_length=erased_between(hyp, output),
-                is_final=is_final,
-                probes=probe_outputs,
-                n_translate_calls=1 + len(probe_outputs),
             )
-        )
-        previous = output
+            previous = output
 
-    return SessionTrace(
-        sentence_id=pair.sentence_id,
-        records=tuple(records),
-        final_output=records[-1].emitted_output,
-        reference=pair.reference,
-    )
+        return SessionTrace(
+            sentence_id=pair.sentence_id,
+            records=tuple(records),
+            final_output=records[-1].emitted_output,
+            reference=pair.reference,
+        )
+
+
+def _probe_requests(extensions, bias: BiasSpec | None) -> list:
+    """The translate requests of one step's probe extensions (none after a predictor error)."""
+    if isinstance(extensions, Exception):
+        return []
+    return [(ext, bias, False) for ext in extensions]
+
+
+def _tokens(result):
+    """A translate_many result's tokens, or its error."""
+    return result if isinstance(result, Exception) else result.tokens
+
+
+def _probe_outputs(extensions, results):
+    """One step's probe translations, taken from the results iterator, or
+    the predictor's or the first probe's error."""
+    if isinstance(extensions, Exception):
+        return extensions
+    translated = [next(results) for _ in extensions]
+    for result in translated:
+        if isinstance(result, Exception):
+            return result
+    return tuple([result.tokens for result in translated])
+
+
+def _draw(key: PredictorConfig, models: Models, prefix: TokenSeq, sentence_id: int, step: int):
+    """The probe extensions of one step, or the predictor's error."""
+    try:
+        return predict_extensions(
+            key, models.lm, models.vocab, prefix, sentence_id=sentence_id, step_index=step
+        )
+    except Exception as exc:  # raised by the step that needs the probes
+        return exc
 
 
 def run_corpus(
@@ -379,8 +487,7 @@ def _simulate(
 
     With jobs > 1, forked worker processes each take the shard
     pairs[i::jobs] and run every config over it with their own copy of
-    the models, so a sweep's cross-config cache hits stay inside each
-    worker. Fork hands the models over without pickling them, and the
+    the models, sentence by sentence as the serial run does. Fork hands the models over without pickling them, and the
     simulation starts no threads that a fork could catch holding a lock.
     A worker that dies raises BrokenProcessPool here instead of hanging.
     Where fork does not exist, everything runs in this process.
@@ -418,16 +525,27 @@ def _simulate(
 
 
 def _run_shard(cfgs, pairs, models):
-    """(traces per config, None), or ([], (config index, sentence_id, error)) at the first error."""
-    out = []
-    for index, cfg in enumerate(cfgs):
-        traces = []
-        for pair in pairs:
-            try:
-                traces.append(run_sentence(cfg, pair, models))
-            except Exception as exc:  # returned, so the parent can pick the serial loop's first
-                return [], (index, pair.sentence_id, exc)
-        out.append(traces)
+    """(traces per config, None), or ([], (config index, sentence_id, error))
+    of the first error in config-then-sentence order.
+
+    Sentence by sentence, every config runs through simulate_sentence.
+    When config c fails, configs from c on stop; the configs before c run
+    on, because one of them failing later comes first in that order.
+    """
+    out: list[list[SessionTrace]] = [[] for _ in cfgs]
+    live, failure = cfgs, None
+    for pair in pairs:
+        traces, failed = simulate_sentence(live, pair, models)
+        for cell, trace in zip(out, traces):
+            cell.append(trace)
+        if failed is not None:
+            index, exc = failed
+            failure = (index, pair.sentence_id, exc)
+            live = cfgs[:index]
+            if not live:
+                break
+    if failure is not None:
+        return [], failure
     return out, None
 
 
@@ -533,11 +651,12 @@ def run_sweep(
 ) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
     """Run every cell; results come back sorted by strategy label.
 
-    Every cell's LM needs are checked before any work starts. The
-    translator (and its memo cache) is shared across cells, which is
-    sound because translators are pure functions of their inputs; with
-    spec.base.parallelism > 1 each worker process shares its own copy
-    across cells, over its shard of sentences.
+    Every cell's LM needs are checked before any work starts. The cells
+    run sentence by sentence through simulate_sentence, which shares
+    each sentence's translations and probe draws across cells; that is
+    sound because translators and predictors are pure functions of their
+    inputs. With spec.base.parallelism > 1 each worker process does so
+    over its shard of sentences.
     """
     base = spec.base
     pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
@@ -679,20 +798,12 @@ def write_traces(
             fh.write(encode(trace_to_dict(trace)) + "\n")
 
 
-def _numbered_lines(fh, path: str | Path):
-    """(line number, line) of a text file; a byte that is not UTF-8 is a TraceError naming it."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
-
-
 def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
     """Read a trace file back; returns (header or None, traces)."""
     header: dict | None = None
     traces: list[SessionTrace] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
+        for lineno, line in numbered_lines(fh, path, TraceError):
             line = line.strip()
             if not line:
                 continue

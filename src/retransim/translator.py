@@ -1,6 +1,9 @@
 """Translation models used by the retranslation simulator.
 
-Two concrete translators share one small interface (``translate``):
+Two concrete translators share one small interface: ``translate`` for one
+request, and ``translate_many`` for a batch of (source, bias,
+source_is_final) requests, which returns each request's Translation or
+the error ``translate`` would raise for it:
 
 * ``ScriptedTranslator``: exact source-prefix lookup, for regression tests
   and walkthroughs of known translation sessions.
@@ -24,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import TokenSeq, check_tokens, tokenize
+from .core import TokenSeq, check_tokens, numbered_lines, tokenize
 
 EOS = "</s>"
 UNK = "⟨unk⟩"  # ⟨unk⟩: reserved, never produced by whitespace corpora
@@ -78,6 +81,28 @@ class BiasSpec:
 class Translation:
     tokens: TokenSeq
     score: float  # accumulated log-probability; scripted lookups report 0
+
+
+# one translate call's arguments: (source, bias, source_is_final)
+Request = tuple[TokenSeq, BiasSpec | None, bool]
+
+
+def _raised(result: Translation | Exception) -> Translation:
+    """A translate_many result as translate returns it: the error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _one_by_one(translate, requests: list[Request]) -> list[Translation | Exception]:
+    """translate_many by one translate call per request."""
+    results = []
+    for request in requests:
+        try:
+            results.append(translate(*request))
+        except Exception as exc:  # the request's status
+            results.append(exc)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +199,15 @@ class ScriptedTranslator:
             return Translation(tuple(source), 0.0)
         raise ScriptMiss(f"no script entry for prefix {' '.join(source)!r}")
 
+    def translate_many(self, requests: list[Request]) -> list[Translation | Exception]:
+        return _one_by_one(self.translate, requests)
+
 
 def load_script(path: str | Path, identity_fallback: bool = False) -> ScriptedTranslator:
     """Parse a tab-separated "source prefix<TAB>translation" file."""
     script: dict[str, TokenSeq] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path, ParseError):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -322,12 +350,14 @@ def _eos_weight(cfg: ToyModelConfig, source: TokenSeq, source_is_final: bool) ->
 # Compiled beam search
 # ---------------------------------------------------------------------------
 #
-# _beam.c holds ToyLexicalTranslator's beam search as one C function. It is
+# _beam.c holds ToyLexicalTranslator's beam search, which translate_many
+# calls once per batch, and the probe predictors' draws (predict.py). It is
 # compiled once with the system C compiler into this package's __pycache__/,
 # keyed by a sha256 of the source and the flags, and loaded when this module
 # is imported, so forked workers inherit it. Without a compiler, or when the
-# build or load fails, translate runs the Python beam search, which is also
-# the reference the kernel must match bit for bit.
+# build or load fails, translate_many runs the Python beam search and the
+# predictors draw from random.Random: the references the kernel must match
+# bit for bit.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
 # no -ffast-math and no fused multiply-adds: the kernel must round every
@@ -339,6 +369,9 @@ _INT32_MAX = 2**31 - 1
 # a row of the kernel's input: entry count, then (fnv state, prob, token id)
 _ROW_COUNT = struct.Struct("=i")
 _ROW_ENTRY = struct.Struct("=Qdi")
+# a request of the kernel's batch: n, previous output length, text bytes,
+# eos weight, beta
+_REQUEST = struct.Struct("=iiidd")
 
 
 def _build_kernel() -> Path:
@@ -383,24 +416,32 @@ def _load_kernel() -> ctypes.CDLL | None:
         )
         return None
     c_i32, c_f64 = ctypes.c_int32, ctypes.c_double
-    kernel.rt_beam_search.argtypes = (
+    kernel.rt_beam_search_many.argtypes = (
+        c_i32,  # request count
+        ctypes.c_char_p,  # requests
         ctypes.c_char_p,  # rows
-        c_i32,  # source length
-        ctypes.c_uint64,  # prefix state
+        ctypes.c_char_p,  # texts
+        ctypes.POINTER(c_i32),  # bias: previous outputs' token ids
+        ctypes.c_uint64,  # seed state
         c_f64,  # instability
         c_f64,  # distortion
-        c_f64,  # eos weight
         c_f64,  # max_len_ratio
         c_i32,  # beam size
-        ctypes.POINTER(c_i32),  # bias: previous output token ids
-        c_i32,  # bias: previous output length
-        c_f64,  # bias: beta
         ctypes.POINTER(c_i32),  # out: token ids
-        ctypes.POINTER(c_f64),  # out: score
+        ctypes.POINTER(c_i32),  # out: lengths
+        ctypes.POINTER(c_f64),  # out: scores
     )
-    kernel.rt_beam_search.restype = c_i32
-    kernel.rt_fnv1a64.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64)
-    kernel.rt_fnv1a64.restype = ctypes.c_uint64
+    kernel.rt_beam_search_many.restype = None
+    kernel.rt_sample_draws.argtypes = (
+        ctypes.c_uint64,  # seed
+        ctypes.c_uint64,  # sentence id
+        ctypes.c_uint64,  # step index
+        c_i32,  # samples
+        c_i32,  # draws per sample
+        ctypes.c_uint32,  # randrange bound; 0 for random()
+        ctypes.c_void_p,  # out: doubles or int32s
+    )
+    kernel.rt_sample_draws.restype = None
     kernel.rt_unit_interval.argtypes = (ctypes.c_uint64,)
     kernel.rt_unit_interval.restype = c_f64
     return kernel
@@ -437,50 +478,73 @@ class ToyLexicalTranslator:
         bias: BiasSpec | None = None,
         source_is_final: bool = False,
     ) -> Translation:
-        if not source:
-            raise ValueError("source must be non-empty")
+        return _raised(self.translate_many([(source, bias, source_is_final)])[0])
+
+    def translate_many(self, requests: list[Request]) -> list[Translation | Exception]:
+        """A Translation or the error translate would raise, per (source, bias,
+        source_is_final) request; the kernel decodes them all in one call."""
         if _kernel is None:
-            return self._python_beam_search(source, bias, source_is_final)
+            return _one_by_one(self._python_beam_search, requests)
         cfg = self.config
-        n = len(source)
-        rows = self._rows
-        # rows first: they give every candidate target its id before the
-        # previous output's tokens are looked up
-        packed = b"".join([rows.get(tok) or self._row(tok) for tok in source])
-        prev, n_prev, beta = None, 0, 0.0
-        if bias is not None and bias.beta > 0.0 and bias.previous_output:
-            ids = self._ids
-            n_prev = len(bias.previous_output)
-            prev = (ctypes.c_int32 * n_prev)(*[ids.get(t, -1) for t in bias.previous_output])
-            beta = bias.beta
-        prefix_state = 0
-        if cfg.instability > 0:
-            blob = "\x1f".join(source).encode("utf-8")  # as in _prefix_state
-            prefix_state = _kernel.rt_fnv1a64(blob, len(blob), self._seed_state)
-        out = (ctypes.c_int32 * n)()
-        score = ctypes.c_double()
-        length = _kernel.rt_beam_search(
-            packed,
-            n,
-            prefix_state,
+        rows, ids, noisy, pack = self._rows, self._ids, cfg.instability > 0, _REQUEST.pack
+        results: list = [None] * len(requests)
+        decoded: list[int] = []  # indices of the requests the kernel decodes
+        sizes, packed, packed_rows, texts, prev = [], [], [], [], []
+        for r, (source, bias, source_is_final) in enumerate(requests):
+            if not source:
+                results[r] = ValueError("source must be non-empty")
+                continue
+            # rows first: they give every candidate target its id before
+            # the previous output's tokens are looked up
+            try:
+                packed_rows += [rows.get(tok) or self._row(tok) for tok in source]
+            except UnknownSourceToken as exc:
+                results[r] = exc
+                continue
+            n_prev, beta, n_text = 0, 0.0, 0
+            if bias is not None and bias.beta > 0.0 and bias.previous_output:
+                n_prev, beta = len(bias.previous_output), bias.beta
+                prev += [ids.get(t, -1) for t in bias.previous_output]
+            if noisy:
+                text = "\x1f".join(source).encode("utf-8")  # as in _prefix_state
+                texts.append(text)
+                n_text = len(text)
+            eos = _eos_weight(cfg, source, source_is_final)
+            packed.append(pack(len(source), n_prev, n_text, eos, beta))
+            decoded.append(r)
+            sizes.append(len(source))
+        if not decoded:
+            return results
+        out = (ctypes.c_int32 * len(packed_rows))()  # room for one token per source position
+        lengths = (ctypes.c_int32 * len(decoded))()
+        scores = (ctypes.c_double * len(decoded))()
+        _kernel.rt_beam_search_many(
+            len(decoded),
+            b"".join(packed),
+            b"".join(packed_rows),
+            b"".join(texts),
+            (ctypes.c_int32 * len(prev))(*prev),
+            self._seed_state,
             cfg.instability,
             cfg.distortion,
-            _eos_weight(cfg, source, source_is_final),
             cfg.max_len_ratio,
             # no pool can reach 2**31 hypotheses, so a wider beam decodes alike
             min(cfg.beam_size, _INT32_MAX),
-            prev,
-            n_prev,
-            beta,
             out,
-            ctypes.byref(score),
+            lengths,
+            scores,
         )
-        if length < 0:
-            if length == _KERNEL_NO_MEMORY:
-                raise MemoryError("beam search kernel: out of memory")
-            raise TranslatorError("beam search ended with no complete hypothesis")
-        targets = self._targets
-        return Translation(tuple([targets[i] for i in out[:length]]), score.value)
+        target, out = self._targets.__getitem__, out[:]
+        at = 0
+        for r, n, length, score in zip(decoded, sizes, lengths[:], scores[:]):
+            if length >= 0:
+                results[r] = Translation(tuple(map(target, out[at : at + length])), score)
+            elif length == _KERNEL_NO_MEMORY:
+                results[r] = MemoryError("beam search kernel: out of memory")
+            else:
+                results[r] = TranslatorError("beam search ended with no complete hypothesis")
+            at += n
+        return results
 
     def _row(self, token: str) -> bytes:
         """The kernel's packed lexicon row for one source token (see _beam.c)."""
@@ -501,6 +565,8 @@ class ToyLexicalTranslator:
         self, source: TokenSeq, bias: BiasSpec | None, source_is_final: bool
     ) -> Translation:
         """The beam search in Python: the kernel's reference and fallback."""
+        if not source:
+            raise ValueError("source must be non-empty")
         cfg = self.config
         n = len(source)
         entries = [_entries_for(cfg.lexicon, tok) for tok in source]
@@ -566,11 +632,12 @@ class ToyLexicalTranslator:
 
 
 class CachingTranslator:
-    """Memoizes translate calls; valid because translators are pure."""
+    """Memoizes a translator's results, errors included; valid because
+    translators are pure. The simulator keeps one for each sentence."""
 
     def __init__(self, inner):
         self.inner = inner
-        self._cache: dict[tuple, Translation] = {}
+        self._cache: dict[tuple, Translation | Exception] = {}
 
     def translate(
         self,
@@ -578,16 +645,25 @@ class CachingTranslator:
         bias: BiasSpec | None = None,
         source_is_final: bool = False,
     ) -> Translation:
-        bias_key = None
-        if bias is not None and bias.beta > 0.0 and bias.previous_output:
-            bias_key = (bias.previous_output, bias.beta)
-        key = (source, source_is_final, bias_key)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self.inner.translate(
-                source, bias=bias, source_is_final=source_is_final
-            )
-        return hit
+        return _raised(self.translate_many([(source, bias, source_is_final)])[0])
+
+    def translate_many(self, requests: list[Request]) -> list[Translation | Exception]:
+        """Each request's result; the distinct misses go to the inner
+        translator in one translate_many call."""
+        cache = self._cache
+        keys = []
+        misses: dict[tuple, Request] = {}
+        for request in requests:
+            key = request
+            source, bias, source_is_final = request
+            if bias is not None and not (bias.beta > 0.0 and bias.previous_output):
+                key = (source, None, source_is_final)  # a bias that changes nothing
+            if key not in cache:
+                misses.setdefault(key, request)
+            keys.append(key)
+        if misses:
+            cache.update(zip(misses, self.inner.translate_many(list(misses.values()))))
+        return [cache[key] for key in keys]
 
 
 def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
@@ -598,7 +674,7 @@ def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
     """
     raw: dict[str, list[tuple[str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path, ParseError):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -164,7 +164,7 @@ def test_run_bad_config_value_exits_2_naming_the_key(
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
     # rejected before any sentence is simulated
-    monkeypatch.setattr(sim, "run_sentence", None)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
     assert main(["run", "--config", str(bad)]) == 2
     assert key in capsys.readouterr().err
 
@@ -188,7 +188,7 @@ def _script(tmp_path) -> str:
 def test_translator_spec_without_its_path_exits_2(
     workspace, tmp_path, capsys, monkeypatch, kind, path_key
 ):
-    monkeypatch.setattr(sim, "run_sentence", None)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
     assert _run_with(workspace, tmp_path, translator={"kind": kind}) == 2
     assert f"{kind} translator: missing key {path_key!r}" in capsys.readouterr().err
 
@@ -206,7 +206,7 @@ def test_scripted_spec_bad_key_exits_2_naming_it(
     workspace, tmp_path, capsys, monkeypatch, key, value
 ):
     spec = {"kind": "scripted", "script_path": _script(tmp_path), key: value}
-    monkeypatch.setattr(sim, "run_sentence", None)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
     assert _run_with(workspace, tmp_path, translator=spec) == 2
     err = capsys.readouterr().err
     assert "scripted translator: " in err and key in err
@@ -225,12 +225,20 @@ def test_scripted_spec_with_fallback_runs(workspace, tmp_path):
         ("lm_path", b"[]\n", ": not a retransim-ngram-lm file"),
         ("source_path", b"a b\nc \xff d\n", ":2: not UTF-8"),
         ("reference_path", b"\xfe\n", ":1: not UTF-8"),
+        ("lexicon_path", b"a ||| x ||| 1.0\nb ||| \xff ||| 1.0\n", ":2: not UTF-8"),
+        ("script_path", b"a\tx\n\xff b\ty\n", ":2: not UTF-8"),
     ],
 )
 def test_unreadable_input_file_exits_2_naming_it(workspace, tmp_path, capsys, key, content, where):
     path = tmp_path / "unreadable.txt"
     path.write_bytes(content)
-    assert _run_with(workspace, tmp_path, **{key: str(path)}) == 2
+    _, cfg, _ = workspace
+    changes = {key: str(path)}
+    if key == "lexicon_path":
+        changes = {"translator": {**cfg.translator, key: str(path)}}
+    elif key == "script_path":
+        changes = {"translator": {"kind": "scripted", key: str(path)}}
+    assert _run_with(workspace, tmp_path, **changes) == 2
     assert f"{path}{where}" in capsys.readouterr().err
 
 
@@ -378,7 +386,7 @@ def test_sweep_missing_lm_fails_before_any_work(workspace, tmp_path, capsys, mon
         tmp_path, cfg, dynamic_cells=[{"strategy": "lm_greedy", "k": 1}]
     )
     simulated = []
-    monkeypatch.setattr(sim, "run_sentence", lambda *args: simulated.append(args))
+    monkeypatch.setattr(sim, "simulate_sentence", lambda *args: simulated.append(args))
     assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "cell 'dynamic:lm_greedy,k=1,n=1'" in err and "needs --lm" in err
@@ -413,7 +421,7 @@ def test_worker_errors_match_serial_errors(workspace, tmp_path, capsys, command)
 )
 def test_dead_worker_fails_the_run_instead_of_hanging(workspace, capsys, monkeypatch):
     _, _, cfg_path = workspace
-    monkeypatch.setattr(sim, "run_sentence", lambda *args: os._exit(3))
+    monkeypatch.setattr(sim, "simulate_sentence", lambda *args: os._exit(3))
 
     def hung(*_):
         pytest.fail("the run hung after a worker died")

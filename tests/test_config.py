@@ -69,7 +69,7 @@ def _write(path, data) -> str:
 
 def _rejected(monkeypatch, capsys, argv, *names) -> None:
     """argv exits 2 before any simulation, naming each of names in stderr."""
-    monkeypatch.setattr(sim, "run_sentence", None)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own rejections
@@ -274,6 +274,18 @@ def test_bad_lm_file_exits_2(files, monkeypatch, capsys, key, value, named):
     _write(files["lm"], _changed(payload, (key,), value))
     cfg = _write(files["dir"] / "run.json", {**files["config"], "lm_path": str(files["lm"])})
     _rejected(monkeypatch, capsys, ["run", "--config", cfg], f"{files['lm']}: ", named)
+
+
+@pytest.mark.parametrize("count", [-5, 2.7, "3", True, None])
+@pytest.mark.parametrize("order, context", [("1", ""), ("2", "a")])
+def test_lm_count_that_is_no_int_from_0_exits_2(files, monkeypatch, capsys, order, context, count):
+    payload = json.loads(files["lm"].read_text(encoding="utf-8"))
+    payload["counts"][order][context]["b"] = count
+    _write(files["lm"], payload)
+    cfg = _write(files["dir"] / "run.json", {**files["config"], "lm_path": str(files["lm"])})
+    _rejected(monkeypatch, capsys, ["run", "--config", cfg],
+              f"error: {files['lm']}: counts: order {order}, token 'b': "
+              f"expected an int >= 0, got {count!r}")
 
 
 @pytest.mark.parametrize(

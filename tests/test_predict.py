@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retransim import predict, translator
 from retransim.core import read_lines, tokenize
 from retransim.predict import (
     EOS,
@@ -23,6 +24,7 @@ from retransim.predict import (
     train_lm,
 )
 from retransim.synthetic import write_synthetic
+from retransim.translator import mix64
 from conftest import seq
 
 
@@ -335,3 +337,38 @@ def test_every_extension_begins_with_prefix(bigram_lm):
             for ext in exts:
                 assert ext[: len(prefix)] == prefix
                 assert len(ext) <= len(prefix) + cfg.k
+
+
+# ---------------------------------------------------------------------------
+# Probe streams
+# ---------------------------------------------------------------------------
+
+ANY_INT = st.integers(-(2**70), 2**70)
+
+
+@given(ANY_INT, ANY_INT, ANY_INT, ANY_INT)
+def test_folded_sample_seed_is_mix64_of_all_four(seed, sentence_id, step_index, s):
+    stream = mix64(seed, sentence_id, step_index)
+    assert predict._sample_seed(stream, s) == mix64(seed, sentence_id, step_index, s)
+
+
+@settings(deadline=None)
+@given(
+    ANY_INT, ANY_INT, ANY_INT,
+    st.integers(1, 4),
+    st.integers(1, 9) | st.integers(100, 400),  # past the first 227 words of a stream
+    st.sampled_from([0, 1, 2, 3, 53, 1000, 2**31 - 1]),
+)
+def test_sample_draws_are_those_of_random_random(seed, sentence_id, step_index, n, k, below):
+    cfg = PredictorConfig("random", k=k, n=n, seed=seed)
+    want = []
+    for s in range(n):
+        rng = random.Random(mix64(seed, sentence_id, step_index, s))
+        want.append([rng.randrange(below) if below else rng.random() for _ in range(k)])
+    kernel = translator._kernel
+    try:
+        for loaded in (kernel, None):
+            translator._kernel = loaded
+            assert predict._sample_draws(cfg, sentence_id, step_index, below) == want
+    finally:
+        translator._kernel = kernel

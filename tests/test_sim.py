@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from retransim.core import CorpusLengthMismatch, SessionTrace, StepRecord
-from retransim.metrics import aggregate, erased_between, normalized_erasure
 from retransim import sim
-from retransim.predict import PredictorConfig, save_lm, train_lm
+from retransim import translator as translator_module
+from retransim.core import CorpusLengthMismatch, SentencePair, SessionTrace, StepRecord
+from retransim.metrics import aggregate, erased_between, normalized_erasure
+from retransim.predict import EOS, UNK, PredictorConfig, predict_extensions, save_lm, train_lm
 from retransim.sim import (
     ConfigError,
     Models,
@@ -32,7 +33,7 @@ from retransim.sim import (
     write_traces,
 )
 from retransim.strategy import StrategyConfig, emit
-from retransim.translator import ScriptedTranslator
+from retransim.translator import BiasSpec, ScriptedTranslator, ToyLexicalTranslator, ToyModelConfig
 from conftest import ONE_TO_ONE_LEXICON, pairs_from, seq, write_corpus
 
 UNSTABLE_TAIL_SCRIPT = {
@@ -578,3 +579,191 @@ def test_bias_changes_decoding_on_unstable_model(tmp_path):
     assert biased.ne <= plain.ne
     for trace in traces:
         validate_trace(trace, biased_cfg.strategy)
+
+
+# ---------------------------------------------------------------------------
+# The per-sentence core against a config-by-config oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_session(cfg: RunConfig, pair, models: Models) -> SessionTrace:
+    """One config's session as the simulator ran it before configs shared a
+    sentence's work: one translate call per request and one predict call
+    per step, in step order, with errors raised where they happen."""
+    strat = cfg.strategy
+    translator = models.translator
+    source = pair.source
+    predictor = strat.predictor
+    if predictor is not None:
+        predictor = dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
+    previous = ()
+    full = None
+    if strat.kind == "oracle":
+        try:
+            full = translator.translate(source, source_is_final=True).tokens
+        except Exception as exc:
+            raise SimulationError(f"sentence {pair.sentence_id}, step {len(source)}: {exc}") from exc
+    records = []
+    for i in range(1, len(source) + 1):
+        prefix, is_final = source[:i], i == len(source)
+        bias = BiasSpec(previous, strat.bias_beta) if strat.bias_beta > 0.0 and previous else None
+        probes = ()
+        try:
+            if strat.kind == "oracle" and is_final:
+                hyp = full
+            else:
+                hyp = translator.translate(prefix, bias=bias, source_is_final=is_final).tokens
+            if strat.kind == "dynamic" and not is_final:
+                extensions = predict_extensions(
+                    predictor, models.lm, models.vocab, prefix,
+                    sentence_id=pair.sentence_id, step_index=i,
+                )
+                probes = tuple(
+                    translator.translate(ext, bias=bias, source_is_final=False).tokens
+                    for ext in extensions
+                )
+        except Exception as exc:
+            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
+        output = emit(strat, hyp, probes, previous, is_final, full)
+        records.append(
+            StepRecord(i, prefix, hyp, output, erased_between(hyp, output), is_final,
+                       probes, 1 + len(probes))
+        )
+        previous = output
+    return SessionTrace(pair.sentence_id, tuple(records), previous, pair.reference)
+
+
+def _reference_simulate(cfgs, pairs, models):
+    """Traces per config, or (config index, error text) of the first error,
+    config by config and sentence by sentence."""
+    out = []
+    for index, cfg in enumerate(cfgs):
+        traces = []
+        for pair in pairs:
+            try:
+                traces.append(_reference_session(cfg, pair, models))
+            except SimulationError as exc:
+                return (index, str(exc))
+        out.append(traces)
+    return out
+
+
+CORE_WORDS = ("a", "b", "c", "d")
+BETAS = st.sampled_from([0.0, 0.3])
+CORE_CELLS = st.one_of(
+    st.builds(lambda b: StrategyConfig("none", bias_beta=b), BETAS),
+    st.builds(lambda k, b: StrategyConfig("mask_k", k_mask=k, bias_beta=b), st.integers(0, 3), BETAS),
+    st.just(StrategyConfig("oracle")),
+    st.builds(
+        lambda strategy, k, n, seed, b: StrategyConfig(
+            "dynamic", predictor=PredictorConfig(strategy, k=k, n=n, seed=seed), bias_beta=b
+        ),
+        st.sampled_from(["lm_sample", "lm_greedy", "unknown", "random"]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(-2, 2),
+        BETAS,
+    ),
+)
+
+
+@st.composite
+def core_cases(draw):
+    """Configs, sentences and models; the lexicon may lack corpus words, and
+    the LM or the probe vocabulary may be missing."""
+    known = draw(st.lists(st.sampled_from(CORE_WORDS), min_size=1, unique=True))
+    lexicon = {}
+    for word in known:
+        targets = draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=2,
+                                unique=True))
+        lexicon[word] = tuple((t, 1.0 / len(targets)) for t in targets)
+    sources = draw(st.lists(st.lists(st.sampled_from(CORE_WORDS), min_size=1, max_size=5),
+                            min_size=1, max_size=4))
+    pairs = [SentencePair(tuple(s), ("x",), i) for i, s in enumerate(sources)]
+    lm = train_lm([pair.source for pair in pairs], order=2)
+    models = Models(
+        translator=ToyLexicalTranslator(ToyModelConfig(
+            lexicon=lexicon, beam_size=2, distortion=0.6, instability=0.8,
+            seed=draw(st.integers(0, 5)),
+        )),
+        lm=draw(st.sampled_from([lm, lm, None])),
+        vocab=draw(st.sampled_from([frozenset(lm.vocabulary) - {UNK, EOS}, None])),
+    )
+    seed = draw(st.integers(0, 3))
+    cfgs = [
+        RunConfig(source_path="unused", reference_path="unused", translator={"kind": "toy"},
+                  strategy=cell, seed=seed)
+        for cell in draw(st.lists(CORE_CELLS, min_size=1, max_size=5))
+    ]
+    return cfgs, pairs, models
+
+
+@settings(deadline=None, max_examples=60)
+@given(core_cases())
+def test_core_matches_config_by_config_oracle(case):
+    cfgs, pairs, models = case
+    want = _reference_simulate(cfgs, pairs, models)
+    for jobs in (1, 2):
+        traces, failure = sim._simulate(cfgs, pairs, models, jobs)
+        if failure is None:
+            assert traces == want, jobs
+        else:
+            assert (failure[0], str(failure[1])) == want, jobs
+
+
+def test_one_kernel_crossing_per_sentence_and_per_biased_step(monkeypatch):
+    if translator_module._kernel is None:
+        pytest.skip("no C beam search")
+    crossings = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def rt_beam_search_many(self, *args):
+            crossings.append(args[0])
+            return kernel.rt_beam_search_many(*args)
+
+    kernel = translator_module._kernel
+    monkeypatch.setattr(translator_module, "_kernel", Counting())
+    lexicon = {w: ((t, 0.5), (t + "2", 0.5)) for w, t in zip(CORE_WORDS, "xyzw")}
+    sources = [("a", "b", "c"), ("d", "c", "b", "a"), ("b",)]
+    pairs = [SentencePair(s, ("x",), i) for i, s in enumerate(sources)]
+    lm = train_lm(sources, order=2)
+    models = Models(
+        ToyLexicalTranslator(ToyModelConfig(lexicon=lexicon, beam_size=2, instability=0.5)),
+        lm, frozenset(lm.vocabulary) - {UNK, EOS},
+    )
+    cells = [StrategyConfig("mask_k", k_mask=k) for k in range(4)] + [
+        StrategyConfig("oracle"),
+        StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=3)),
+        StrategyConfig("dynamic", predictor=PredictorConfig("lm_sample", k=2, n=2)),
+    ]
+    cfgs = [RunConfig("unused", "unused", {"kind": "toy"}, cell) for cell in cells]
+    _, failure = sim._simulate(cfgs, pairs, models, 1)
+    assert failure is None
+    assert len(crossings) == len(pairs)
+    biased = RunConfig("unused", "unused", {"kind": "toy"}, StrategyConfig("none", bias_beta=0.5))
+    crossings.clear()
+    _, failure = sim._simulate(cfgs + [biased], pairs, models, 1)
+    assert failure is None
+    # the first step has nothing displayed yet, so the shared batch serves it
+    assert len(crossings) == len(pairs) + sum(len(s) - 1 for s in sources)
+
+
+@pytest.mark.parametrize(
+    "script, vocab, error",
+    [
+        ({}, None, "no script entry for prefix 'a'"),  # hypothesis first
+        ({"a": seq("p")}, None, "random strategy requires a vocabulary"),  # then the draws
+        ({"a": seq("p")}, frozenset({"b"}), "no script entry for prefix 'a b'"),  # then probes
+    ],
+)
+def test_step_errors_in_order_hypothesis_draws_probes(script, vocab, error):
+    cfg, models = _scripted_session(
+        StrategyConfig("dynamic", predictor=PredictorConfig("random", k=1)), script
+    )
+    models.vocab = vocab
+    pair = pairs_from(["a c"], ["p q"])[0]
+    with pytest.raises(SimulationError, match=f"^sentence 0, step 1: {error}$"):
+        run_sentence(cfg, pair, models)

@@ -21,6 +21,7 @@ from retransim.translator import (
     NonNormalizedLexicon,
     ParseError,
     ScriptMiss,
+    ScriptedTranslator,
     ToyLexicalTranslator,
     ToyModelConfig,
     UnknownSourceToken,
@@ -580,3 +581,85 @@ def test_kernel_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):
     monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
     with pytest.raises(OSError, match="no C compiler"):
         translator._build_kernel()
+
+
+# ---------------------------------------------------------------------------
+# Batched translation
+# ---------------------------------------------------------------------------
+
+
+def _status(result):
+    """A result compared by value: an error by its type and message."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+def _translated(call):
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+@st.composite
+def request_batches(draw):
+    """A random toy model and requests whose sources may hold a word the
+    lexicon lacks ('q') or be empty, with and without a bias."""
+    cfg, *_ = draw(decoding_cases())
+    words = st.sampled_from(SOURCE_WORDS + (UNK, "q"))
+    previous = st.lists(st.sampled_from(TARGET_WORDS + (UNK,)), max_size=6).map(tuple)
+    bias = st.none() | st.builds(BiasSpec, previous, st.sampled_from([0.0, 0.3, 1.0]))
+    requests = draw(st.lists(
+        st.tuples(st.lists(words, max_size=8).map(tuple), bias, st.booleans()), max_size=8
+    ))
+    return cfg, requests
+
+
+@settings(deadline=None)
+@given(request_batches())
+def test_translate_many_equals_translate_per_request(case):
+    cfg, requests = case
+    kernel = translator._kernel
+    outcomes = []
+    try:
+        for loaded in (kernel, None):
+            translator._kernel = loaded
+            got = [_status(r) for r in ToyLexicalTranslator(cfg).translate_many(requests)]
+            single = ToyLexicalTranslator(cfg)
+            want = [_status(_translated(lambda: single.translate(*r))) for r in requests]
+            assert got == want
+            outcomes.append(got)
+    finally:
+        translator._kernel = kernel
+    assert outcomes[0] == outcomes[-1]  # the kernel's batch equals the Python search's
+
+
+def test_caching_translator_sends_each_miss_once_and_keeps_errors():
+    batches = []
+
+    class Inner:
+        def translate_many(self, requests):
+            batches.append(requests)
+            return [ScriptMiss("miss") if r[0] == ("q",) else translator.Translation(r[0], 0.0)
+                    for r in requests]
+
+    cached = CachingTranslator(Inner())
+    unbiased, idle = (("a",), None, False), (("a",), BiasSpec(("x",), 0.0), False)
+    got = cached.translate_many([unbiased, (("q",), None, False), idle])
+    assert [_status(r) for r in got] == [
+        translator.Translation(("a",), 0.0), (ScriptMiss, "miss"), translator.Translation(("a",), 0.0),
+    ]
+    assert batches == [[unbiased, (("q",), None, False)]]  # a zero bias is no bias
+    assert cached.translate(("a",)).tokens == ("a",) and len(batches) == 1
+    with pytest.raises(ScriptMiss, match="^miss$"):
+        cached.translate(("q",))
+    assert len(batches) == 1
+
+
+def test_scripted_translate_many_keeps_each_request_status():
+    tr = ScriptedTranslator({"a": seq("x y")})
+    got = tr.translate_many([(("a",), None, True), (("b",), None, False), ((), None, False)])
+    assert [_status(r) for r in got] == [
+        translator.Translation(seq("x y"), 0.0),
+        (ScriptMiss, "no script entry for prefix 'b'"),
+        (ValueError, "source must be non-empty"),
+    ]
