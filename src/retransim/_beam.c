@@ -20,8 +20,7 @@
  * Token id RT_EOS is end-of-sentence.
  *
  * rt_beam_search_many, the entry that Python calls, runs rt_beam_search on
- * a batch of source prefixes. rt_sample_draws, at the end, draws the
- * probe predictors' random numbers.
+ * a batch of source prefixes.
  */
 
 #include <math.h>
@@ -355,145 +354,5 @@ void rt_beam_search_many(int32_t n_requests, const unsigned char *requests,
         texts += text_bytes;
         prev += n_prev;
         out_tokens += n;
-    }
-}
-
-/*
- * Probe draws: random.Random's Mersenne Twister, as CPython implements it
- * (Modules/_randommodule.c), so that every draw equals the Python one.
- */
-
-#define MT_N 624
-#define MT_M 397
-
-typedef struct {
-    uint32_t mt[MT_N];
-    int32_t index;   /* of the next output word */
-    int32_t twisted; /* whether mt holds the twisted words yet */
-} mt_state;
-
-/* init_genrand(19650218), where every seeding starts */
-static void mt_base(uint32_t *mt)
-{
-    mt[0] = 19650218U;
-    for (uint32_t i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
-}
-
-/* random.Random(seed) for 0 <= seed < 2^64, from mt_base's words:
- * init_by_array over the seed's 32-bit words, low word first, and one
- * word for a seed below 2^32. */
-static void mt_seed(mt_state *st, const uint32_t *base, uint64_t seed)
-{
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    uint32_t key_length = key[1] ? 2 : 1;
-    uint32_t *mt = st->mt;
-    memcpy(mt, base, sizeof st->mt);
-    uint32_t i = 1, j = 0;
-    for (uint32_t k = MT_N; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-        if (j >= key_length)
-            j = 0;
-    }
-    for (uint32_t k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-    }
-    mt[0] = 0x80000000U;
-    st->index = 0;
-    st->twisted = 0;
-}
-
-/* Word kk of the twist, from words kk, kk + 1 and kk + MT_M - MT_N or
- * kk + MT_M, whichever is in range. */
-static uint32_t mt_twisted(const uint32_t *mt, int32_t kk)
-{
-    uint32_t y = (mt[kk] & 0x80000000U) | (mt[(kk + 1) % MT_N] & 0x7fffffffU);
-    return mt[(kk + MT_M) % MT_N] ^ (y >> 1) ^ ((y & 0x1U) ? 0x9908b0dfU : 0x0U);
-}
-
-/* The next 32-bit output. Words below MT_N - MT_M of the first twist
- * depend only on words the twist has not rewritten yet, so a seeding
- * that draws few words computes just those; the whole twist runs in
- * place, in CPython's order, once more are drawn. */
-static uint32_t mt_next(mt_state *st)
-{
-    uint32_t y;
-    if (!st->twisted && st->index < MT_N - MT_M) {
-        y = mt_twisted(st->mt, st->index++);
-    } else {
-        if (!st->twisted || st->index >= MT_N) {
-            for (int32_t kk = 0; kk < MT_N; kk++)
-                st->mt[kk] = mt_twisted(st->mt, kk);
-            if (st->twisted)
-                st->index = 0;
-            st->twisted = 1;
-        }
-        y = st->mt[st->index++];
-    }
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
-}
-
-/* random.Random.random() */
-static double mt_random(mt_state *st)
-{
-    uint32_t a = mt_next(st) >> 5, b = mt_next(st) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
-}
-
-/* random.Random.randrange(below) for 0 < below < 2^32: getrandbits of
- * below's bit length until the draw is below it */
-static uint32_t mt_below(mt_state *st, uint32_t below)
-{
-    int32_t bits = 0;
-    while (bits < 32 && below >> bits)
-        bits++;
-    uint32_t r;
-    do
-        r = mt_next(st) >> (32 - bits);
-    while (r >= below);
-    return r;
-}
-
-/*
- * k draws for each of n samples. Sample s draws from
- * random.Random(mix64(seed, sentence_id, step_index, s)), where mix64
- * folds each value v as h = avalanche(h ^ avalanche(v)) from the FNV-1a
- * basis (translator.mix64). Its draws are random() when below is 0,
- * else randrange(below); they go to out[s * k + j], doubles or int32s.
- */
-void rt_sample_draws(uint64_t seed, uint64_t sentence_id, uint64_t step_index, int32_t n,
-                     int32_t k, uint32_t below, void *out)
-{
-    uint64_t stream = UINT64_C(0xCBF29CE484222325);
-    stream = avalanche(stream ^ avalanche(seed));
-    stream = avalanche(stream ^ avalanche(sentence_id));
-    stream = avalanche(stream ^ avalanche(step_index));
-    uint32_t base[MT_N];
-    mt_base(base);
-    mt_state st;
-    for (int32_t s = 0; s < n; s++) {
-        mt_seed(&st, base, avalanche(stream ^ avalanche((uint64_t)s)));
-        for (int32_t j = 0; j < k; j++) {
-            size_t at = (size_t)s * (size_t)k + (size_t)j;
-            if (below == 0)
-                ((double *)out)[at] = mt_random(&st);
-            else
-                ((int32_t *)out)[at] = (int32_t)mt_below(&st, below);
-        }
     }
 }

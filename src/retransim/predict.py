@@ -9,7 +9,6 @@ are reproducible from (seed, sentence_id, step_index, sample_index).
 from __future__ import annotations
 
 import _random
-import ctypes
 import json
 import random
 from array import array
@@ -19,7 +18,6 @@ from itertools import accumulate
 from pathlib import Path
 
 from .core import TokenSeq, utf8_error_location
-from . import translator
 from .translator import _MASK64, EOS, UNK, _avalanche, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
@@ -132,12 +130,9 @@ class NgramLM:
         """The first token, in sorted-vocabulary order, whose left-to-right
         cumulative probability exceeds one uniform draw; the last token
         when float rounding leaves the draw above the final sum."""
-        return self._sample_at(context, rng.random())
-
-    def _sample_at(self, context: TokenSeq, u: float) -> str:
-        """sample's token for the uniform draw u."""
         cum = self._table(context)[0]
-        return self._sorted_vocab[min(bisect_right(cum, u), len(cum) - 1)]
+        i = bisect_right(cum, rng.random())
+        return self._sorted_vocab[min(i, len(cum) - 1)]
 
 
 def train_lm(
@@ -316,47 +311,24 @@ def predict_extensions(
             raise PredictorError("random strategy requires a vocabulary")
         pool = sorted(vocab)
         return [
-            tuple(prefix) + tuple([pool[i] for i in picks])
-            for picks in _sample_draws(cfg, sentence_id, step_index, len(pool))
+            # choice draws as pool[randrange(len(pool))] does
+            tuple(prefix) + tuple([rng.choice(pool) for _ in range(cfg.k)])
+            for rng in _sample_rngs(cfg.seed, sentence_id, step_index, cfg.n)
         ]
 
     # lm_sample
     assert lm is not None
     out = []
-    for draws in _sample_draws(cfg, sentence_id, step_index):
+    for rng in _sample_rngs(cfg.seed, sentence_id, step_index, cfg.n):
         seq = list(prefix)
-        for u in draws:
+        for _ in range(cfg.k):
             ctx = tuple(seq[-(lm.order - 1) :]) if lm.order > 1 else ()
-            token = lm._sample_at(ctx, u)
+            token = lm.sample(ctx, rng)
             if token == EOS:
                 break
             seq.append(token)
         out.append(tuple(seq))
     return out
-
-
-def _sample_draws(
-    cfg: PredictorConfig, sentence_id: int, step_index: int, below: int = 0
-) -> list[list]:
-    """cfg.k draws for each of cfg.n samples: those of sample s come from
-    random.Random(mix64(cfg.seed, sentence_id, step_index, s)), as random()
-    when below is 0, else as randrange(below). The decoder kernel draws
-    them all in one call; without it, one random.Random is reseeded for
-    each sample. A sample that stops early leaves its last draws unused.
-    """
-    n, k = cfg.n, cfg.k
-    if translator._kernel is None:
-        return [
-            [rng.randrange(below) if below else rng.random() for _ in range(k)]
-            for rng in _sample_rngs(cfg.seed, sentence_id, step_index, n)
-        ]
-    # a vocabulary below 2**31 words fits the kernel's int32 picks
-    out = ((ctypes.c_int32 if below else ctypes.c_double) * (n * k))()
-    translator._kernel.rt_sample_draws(
-        cfg.seed & _MASK64, sentence_id & _MASK64, step_index & _MASK64, n, k, below, out
-    )
-    draws = out[:]
-    return [draws[s * k : (s + 1) * k] for s in range(n)]
 
 
 def _sample_rngs(seed: int, sentence_id: int, step_index: int, n: int):
@@ -372,5 +344,6 @@ def _sample_rngs(seed: int, sentence_id: int, step_index: int, n: int):
 
 
 def _sample_seed(stream: int, s: int) -> int:
-    """mix64(seed, sentence_id, step_index, s), given stream = mix64(seed, sentence_id, step_index)."""
+    """mix64(seed, sentence_id, step_index, s), given
+    stream = mix64(seed, sentence_id, step_index)."""
     return _avalanche(stream ^ _avalanche(s & _MASK64))

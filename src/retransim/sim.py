@@ -34,6 +34,7 @@ from .strategy import StrategyConfig, emit
 from .translator import (
     BiasSpec,
     CachingTranslator,
+    Request,
     ToyLexicalTranslator,
     ToyModelConfig,
     load_lexicon,
@@ -282,39 +283,97 @@ def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
     return strategy.kind == "dynamic" and not is_final
 
 
-def run_sentence(cfg: RunConfig, pair: SentencePair, models: Models) -> SessionTrace:
+def run_sentence(
+    cfg: RunConfig, pair: SentencePair, models: Models, memo: _SentenceMemo | None = None
+) -> SessionTrace:
     """Simulate one sentence: reveal, retranslate, probe, emit, record.
 
-    The one-config case of simulate_sentence; raises its error.
+    Translations and probe draws go through memo, the sentence's
+    _SentenceMemo; simulate_sentence shares one among its configs, and
+    without one the config fills its own.
     """
-    traces, failure = simulate_sentence([cfg], pair, models)
-    if failure is not None:
-        raise failure[1]
-    return traces[0]
+    strat = cfg.strategy
+    source = pair.source
+    if not source:
+        raise CorpusError(f"sentence {pair.sentence_id}: empty source")
+    if memo is None:
+        memo = _SentenceMemo([cfg], pair, models)
+    translator = memo.translator
+    predictor = _probe_key(cfg)
+
+    previous: TokenSeq = ()
+    full_translation: TokenSeq | None = None
+    if strat.kind == "oracle":
+        try:
+            full_translation = translator.translate(source, source_is_final=True).tokens
+        except Exception as exc:
+            raise SimulationError(
+                f"sentence {pair.sentence_id}, step {len(source)}: {exc}"
+            ) from exc
+
+    records: list[StepRecord] = []
+    for i, prefix in enumerate(memo.prefixes, start=1):
+        is_final = i == len(source)
+        bias = None
+        if strat.bias_beta > 0.0:
+            if previous:
+                bias = BiasSpec(previous, strat.bias_beta)
+            # decoded towards this session's own display, so not filled
+            # ahead: the step's requests go to the decoder in one batch
+            translator.translate_many(memo.requests(predictor, i, bias))
+
+        probe_outputs: tuple[TokenSeq, ...] = ()
+        try:
+            if strat.kind == "oracle" and is_final:
+                hyp = full_translation  # the upfront full-sentence call
+            else:
+                hyp = translator.translate(prefix, bias, is_final).tokens
+            if _takes_probes(strat, is_final):
+                extensions = memo.extensions(predictor, i)
+                probe_outputs = tuple(
+                    [translator.translate(ext, bias, False).tokens for ext in extensions]
+                )
+        except Exception as exc:
+            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
+
+        # emission stays outside the try: its bugs are not input errors
+        output = emit(strat, hyp, probe_outputs, previous, is_final, full_translation)
+        # positional: keywords cost a third more per record
+        records.append(
+            StepRecord(
+                i,  # step_index
+                prefix,  # source_prefix
+                hyp,  # raw_hypothesis
+                output,  # emitted_output
+                erased_between(hyp, output),  # mask_length
+                is_final,
+                probe_outputs,  # probes
+                1 + len(probe_outputs),  # n_translate_calls
+            )
+        )
+        previous = output
+
+    return SessionTrace(
+        sentence_id=pair.sentence_id,
+        records=tuple(records),
+        final_output=records[-1].emitted_output,
+        reference=pair.reference,
+    )
 
 
 def simulate_sentence(
     cfgs: list[RunConfig], pair: SentencePair, models: Models
 ) -> tuple[list[SessionTrace], tuple[int, Exception] | None]:
-    """Every config's session over one sentence.
+    """Every config's session over one sentence, through one _SentenceMemo.
 
     Returns (one trace per config, None), or, when config c fails, the
-    traces of the configs before it and (c, error). The work that does
-    not depend on what a session displays is done once for all configs:
-    each distinct predictor draws its probes, and one translate_many
-    call translates every prefix hypothesis and every probe of the
-    unbiased configs. Biased configs translate step by step, because
-    their bias is their own previous display. All translations go
-    through one memo that lives for this sentence.
+    traces of the configs before it and (c, error).
     """
-    try:
-        sentence = _Sentence(cfgs, pair, models)
-    except Exception as exc:  # the first config would have met it first
-        return [], (0, exc)
+    memo = _SentenceMemo(cfgs, pair, models)
     traces = []
-    for index in range(len(cfgs)):
+    for index, cfg in enumerate(cfgs):
         try:
-            traces.append(sentence.session(index))
+            traces.append(run_sentence(cfg, pair, models, memo))
         except Exception as exc:  # returned, so the caller can pick the serial order's first
             return traces, (index, exc)
     return traces, None
@@ -330,139 +389,64 @@ def _probe_key(cfg: RunConfig) -> PredictorConfig | None:
     return dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
 
 
-def _step_failure(error: Exception, pair: SentencePair, step: int) -> SimulationError:
-    """The error that stops a session at a step, with its location."""
-    return SimulationError(f"sentence {pair.sentence_id}, step {step}: {error}")
+class _SentenceMemo:
+    """One sentence's prefixes, translations and probe extensions, shared
+    by the configs run over it.
 
-
-class _Sentence:
-    """One sentence's display-independent inputs, shared by every config.
-
-    Translator and predictor errors are kept as values; each is raised
-    by the first step that needs it, in the order hypothesis, probe
-    draws, probe translations.
+    translator is a CachingTranslator over the models' translator, so
+    translator errors are kept and raised by each step that asks again.
+    Building the memo fills it with every request of the unbiased
+    configs (each prefix's hypothesis, the last one also the oracle's
+    full translation, and every probe) in one translate_many call: the
+    decoder kernel decodes them all in one crossing.
     """
 
     def __init__(self, cfgs: list[RunConfig], pair: SentencePair, models: Models):
-        if not pair.source:
-            raise CorpusError(f"sentence {pair.sentence_id}: empty source")
-        self.cfgs, self.pair = cfgs, pair
-        self.keys = [_probe_key(cfg) for cfg in cfgs]
+        self.pair, self.models = pair, models
+        # one tuple per prefix, however many configs' records hold it
         self.prefixes = [pair.source[:i] for i in range(1, len(pair.source) + 1)]
-        self.memo = CachingTranslator(models.translator)
-        # per predictor: each non-final step's extensions, or the predictor's error
-        self.draws: dict[PredictorConfig, list] = {}
-        for key in dict.fromkeys(self.keys):
-            if key is not None:
-                self.draws[key] = [
-                    _draw(key, models, prefix, pair.sentence_id, i)
-                    for i, prefix in enumerate(self.prefixes[:-1], start=1)
-                ]
-        # the unbiased configs' hypotheses, and probe translations per
-        # predictor, from one translate_many call
-        unbiased = [key for cfg, key in zip(cfgs, self.keys) if cfg.strategy.bias_beta == 0.0]
-        keys = [key for key in dict.fromkeys(unbiased) if key is not None]
-        requests = []
-        if unbiased:
-            n = len(self.prefixes)
-            requests = [(prefix, None, i == n) for i, prefix in enumerate(self.prefixes, start=1)]
-        for key in keys:
-            for extensions in self.draws[key]:
-                requests += _probe_requests(extensions, None)
-        results = iter(self.memo.translate_many(requests))
-        self.hyps = [_tokens(next(results)) for _ in self.prefixes] if unbiased else []
-        self.probes = {
-            key: [_probe_outputs(extensions, results) for extensions in self.draws[key]]
-            for key in keys
-        }
+        self.translator = CachingTranslator(models.translator)
+        self._extensions: dict[tuple[PredictorConfig, int], list[TokenSeq]] = {}
+        keys = dict.fromkeys(_probe_key(cfg) for cfg in cfgs if cfg.strategy.bias_beta == 0.0)
+        self.translator.translate_many(
+            [
+                request
+                for key in keys
+                for step in range(1, len(self.prefixes) + 1)
+                for request in self.requests(key, step, None)
+            ]
+        )
 
-    def session(self, index: int) -> SessionTrace:
-        """Config index's session over the sentence."""
-        strat = self.cfgs[index].strategy
-        pair = self.pair
-        key = self.keys[index]
-        draws, hyps, probes_of = self.draws.get(key), self.hyps, self.probes.get(key)
-        n = len(self.prefixes)
-        full_translation: TokenSeq | None = None
-        if strat.kind == "oracle":  # translated before the first step
-            full_translation = hyps[-1]
-            if isinstance(full_translation, Exception):
-                raise _step_failure(full_translation, pair, n) from full_translation
-
-        previous: TokenSeq = ()
-        records: list[StepRecord] = []
-        for i, prefix in enumerate(self.prefixes, start=1):
-            is_final = i == n
-            if strat.bias_beta == 0.0:
-                hyp = hyps[i - 1]
-                probes = probes_of[i - 1] if probes_of is not None and not is_final else ()
-            else:  # decoded towards this session's own previous display
-                extensions = draws[i - 1] if draws is not None and not is_final else ()
-                bias = BiasSpec(previous, strat.bias_beta) if previous else None
-                requests = [(prefix, bias, is_final)] + _probe_requests(extensions, bias)
-                results = iter(self.memo.translate_many(requests))
-                hyp = _tokens(next(results))
-                probes = _probe_outputs(extensions, results)
-            if isinstance(hyp, Exception):
-                raise _step_failure(hyp, pair, i) from hyp
-            if isinstance(probes, Exception):
-                raise _step_failure(probes, pair, i) from probes
-            # emission stays outside the checks: its bugs are not input errors
-            output = emit(strat, hyp, probes, previous, is_final, full_translation)
-            records.append(
-                StepRecord(
-                    i,
-                    prefix,
-                    hyp,
-                    output,
-                    erased_between(hyp, output),
-                    is_final,
-                    probes,
-                    1 + len(probes),
-                )
+    def extensions(self, predictor: PredictorConfig, step: int) -> list[TokenSeq]:
+        """The predictor's extensions of the step's prefix, drawn once;
+        errors are raised, not kept."""
+        key = (predictor, step)
+        found = self._extensions.get(key)
+        if found is None:
+            found = self._extensions[key] = predict_extensions(
+                predictor,
+                self.models.lm,
+                self.models.vocab,
+                self.prefixes[step - 1],
+                sentence_id=self.pair.sentence_id,
+                step_index=step,
             )
-            previous = output
+        return found
 
-        return SessionTrace(
-            sentence_id=pair.sentence_id,
-            records=tuple(records),
-            final_output=records[-1].emitted_output,
-            reference=pair.reference,
-        )
-
-
-def _probe_requests(extensions, bias: BiasSpec | None) -> list:
-    """The translate requests of one step's probe extensions (none after a predictor error)."""
-    if isinstance(extensions, Exception):
-        return []
-    return [(ext, bias, False) for ext in extensions]
-
-
-def _tokens(result):
-    """A translate_many result's tokens, or its error."""
-    return result if isinstance(result, Exception) else result.tokens
-
-
-def _probe_outputs(extensions, results):
-    """One step's probe translations, taken from the results iterator, or
-    the predictor's or the first probe's error."""
-    if isinstance(extensions, Exception):
-        return extensions
-    translated = [next(results) for _ in extensions]
-    for result in translated:
-        if isinstance(result, Exception):
-            return result
-    return tuple([result.tokens for result in translated])
-
-
-def _draw(key: PredictorConfig, models: Models, prefix: TokenSeq, sentence_id: int, step: int):
-    """The probe extensions of one step, or the predictor's error."""
-    try:
-        return predict_extensions(
-            key, models.lm, models.vocab, prefix, sentence_id=sentence_id, step_index=step
-        )
-    except Exception as exc:  # raised by the step that needs the probes
-        return exc
+    def requests(
+        self, predictor: PredictorConfig | None, step: int, bias: BiasSpec | None
+    ) -> list[Request]:
+        """A step's translate requests: its hypothesis, then its probes. A
+        predictor that fails adds none; the step raises its error itself."""
+        is_final = step == len(self.prefixes)
+        requests = [(self.prefixes[step - 1], bias, is_final)]
+        if predictor is not None and not is_final:
+            try:
+                extensions = self.extensions(predictor, step)
+            except Exception:  # raised again by the step that needs the probes
+                return requests
+            requests += [(ext, bias, False) for ext in extensions]
+        return requests
 
 
 def run_corpus(
@@ -487,8 +471,9 @@ def _simulate(
 
     With jobs > 1, forked worker processes each take the shard
     pairs[i::jobs] and run every config over it with their own copy of
-    the models, sentence by sentence as the serial run does. Fork hands the models over without pickling them, and the
-    simulation starts no threads that a fork could catch holding a lock.
+    the models, sentence by sentence as the serial run does. Fork hands
+    the models over without pickling them, and the simulation starts no
+    threads that a fork could catch holding a lock.
     A worker that dies raises BrokenProcessPool here instead of hanging.
     Where fork does not exist, everything runs in this process.
 

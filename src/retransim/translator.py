@@ -351,13 +351,12 @@ def _eos_weight(cfg: ToyModelConfig, source: TokenSeq, source_is_final: bool) ->
 # ---------------------------------------------------------------------------
 #
 # _beam.c holds ToyLexicalTranslator's beam search, which translate_many
-# calls once per batch, and the probe predictors' draws (predict.py). It is
-# compiled once with the system C compiler into this package's __pycache__/,
-# keyed by a sha256 of the source and the flags, and loaded when this module
-# is imported, so forked workers inherit it. Without a compiler, or when the
-# build or load fails, translate_many runs the Python beam search and the
-# predictors draw from random.Random: the references the kernel must match
-# bit for bit.
+# calls once per batch. It is compiled once with the system C compiler into
+# this package's __pycache__/, keyed by a sha256 of the source and the
+# flags, and loaded when this module is imported, so forked workers inherit
+# it. Without a compiler, or when the build or load fails, translate_many
+# runs the Python beam search, which is also the reference the kernel must
+# match bit for bit.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
 # no -ffast-math and no fused multiply-adds: the kernel must round every
@@ -432,16 +431,6 @@ def _load_kernel() -> ctypes.CDLL | None:
         ctypes.POINTER(c_f64),  # out: scores
     )
     kernel.rt_beam_search_many.restype = None
-    kernel.rt_sample_draws.argtypes = (
-        ctypes.c_uint64,  # seed
-        ctypes.c_uint64,  # sentence id
-        ctypes.c_uint64,  # step index
-        c_i32,  # samples
-        c_i32,  # draws per sample
-        ctypes.c_uint32,  # randrange bound; 0 for random()
-        ctypes.c_void_p,  # out: doubles or int32s
-    )
-    kernel.rt_sample_draws.restype = None
     kernel.rt_unit_interval.argtypes = (ctypes.c_uint64,)
     kernel.rt_unit_interval.restype = c_f64
     return kernel
@@ -645,7 +634,12 @@ class CachingTranslator:
         bias: BiasSpec | None = None,
         source_is_final: bool = False,
     ) -> Translation:
-        return _raised(self.translate_many([(source, bias, source_is_final)])[0])
+        request = (source, bias, source_is_final)
+        # a bias that changes nothing is never a key: translate_many keys it
+        hit = self._cache.get(request)
+        if hit is None:
+            hit = self.translate_many([request])[0]
+        return _raised(hit)
 
     def translate_many(self, requests: list[Request]) -> list[Translation | Exception]:
         """Each request's result; the distinct misses go to the inner

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retransim import predict, translator
+from retransim import predict
 from retransim.core import read_lines, tokenize
 from retransim.predict import (
     EOS,
@@ -356,19 +356,16 @@ def test_folded_sample_seed_is_mix64_of_all_four(seed, sentence_id, step_index, 
 @given(
     ANY_INT, ANY_INT, ANY_INT,
     st.integers(1, 4),
-    st.integers(1, 9) | st.integers(100, 400),  # past the first 227 words of a stream
+    st.integers(1, 9) | st.integers(320, 400),  # past a stream's first 624 words
     st.sampled_from([0, 1, 2, 3, 53, 1000, 2**31 - 1]),
 )
-def test_sample_draws_are_those_of_random_random(seed, sentence_id, step_index, n, k, below):
-    cfg = PredictorConfig("random", k=k, n=n, seed=seed)
+def test_sample_rngs_draw_as_fresh_random_random(seed, sentence_id, step_index, n, k, below):
     want = []
     for s in range(n):
         rng = random.Random(mix64(seed, sentence_id, step_index, s))
         want.append([rng.randrange(below) if below else rng.random() for _ in range(k)])
-    kernel = translator._kernel
-    try:
-        for loaded in (kernel, None):
-            translator._kernel = loaded
-            assert predict._sample_draws(cfg, sentence_id, step_index, below) == want
-    finally:
-        translator._kernel = kernel
+    got = [
+        [rng.randrange(below) if below else rng.random() for _ in range(k)]
+        for rng in predict._sample_rngs(seed, sentence_id, step_index, n)
+    ]
+    assert got == want

@@ -743,12 +743,62 @@ def test_one_kernel_crossing_per_sentence_and_per_biased_step(monkeypatch):
     _, failure = sim._simulate(cfgs, pairs, models, 1)
     assert failure is None
     assert len(crossings) == len(pairs)
-    biased = RunConfig("unused", "unused", {"kind": "toy"}, StrategyConfig("none", bias_beta=0.5))
+    biased = [
+        RunConfig("unused", "unused", {"kind": "toy"}, dataclasses.replace(cell, bias_beta=0.5))
+        for cell in (StrategyConfig("none"), cells[-2])
+    ]
     crossings.clear()
-    _, failure = sim._simulate(cfgs + [biased], pairs, models, 1)
+    traces, failure = sim._simulate(cfgs + biased, pairs, models, 1)
     assert failure is None
-    # the first step has nothing displayed yet, so the shared batch serves it
-    assert len(crossings) == len(pairs) + sum(len(s) - 1 for s in sources)
+    # a step with nothing displayed yet asks what its unbiased twin asked,
+    # which the shared batch served; every other step is one crossing,
+    # for its hypothesis and its probes together
+    biased_steps = sum(
+        1
+        for cell_traces in traces[-2:]
+        for trace in cell_traces
+        for before in trace.records[:-1]
+        if before.emitted_output
+    )
+    assert biased_steps > len(pairs)
+    assert len(crossings) == len(pairs) + biased_steps
+
+
+def test_every_session_runs_through_run_sentence(monkeypatch):
+    # run_sentence is the one step loop, called per config and sentence
+    calls = []
+
+    def counting(cfg, pair, models, memo=None):
+        calls.append((cfg.strategy.label, pair.sentence_id, memo is not None))
+        return run_sentence(cfg, pair, models, memo)
+
+    monkeypatch.setattr(sim, "run_sentence", counting)
+    cfg, models = _scripted_session(
+        StrategyConfig("mask_k", k_mask=1), {"a": seq("p"), "a b": seq("p q")}
+    )
+    cfgs = [cfg, dataclasses.replace(cfg, strategy=StrategyConfig("none"))]
+    pairs = pairs_from(["a b", "a"], ["p q", "p"])
+    traces, failure = sim._simulate(cfgs, pairs, models, 1)
+    assert failure is None and [len(cell) for cell in traces] == [2, 2]
+    assert calls == [
+        ("mask_k=1", 0, True), ("none", 0, True), ("mask_k=1", 1, True), ("none", 1, True)
+    ]
+    # the configs' records of one sentence hold one prefix tuple
+    assert traces[0][0].records[0].source_prefix is traces[1][0].records[0].source_prefix
+
+
+def test_first_error_in_config_then_sentence_order():
+    # config 1 fails on sentence 0 and config 0 only on sentence 1: config
+    # 0 runs on after config 1 stops, and its error is the one reported
+    cfg, models = _scripted_session(StrategyConfig("none"), {"a": seq("p"), "a c": seq("p q")})
+    probing = dataclasses.replace(
+        cfg, strategy=StrategyConfig("dynamic", predictor=PredictorConfig("unknown"))
+    )
+    pairs = pairs_from(["a c", "b"], ["p q", "q"])
+    for jobs in (1, 2):
+        traces, failure = sim._simulate([cfg, probing], pairs, models, jobs)
+        assert traces == [] and failure[0] == 0, jobs
+        assert str(failure[1]) == "sentence 1, step 1: no script entry for prefix 'b'", jobs
 
 
 @pytest.mark.parametrize(
