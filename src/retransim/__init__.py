@@ -58,7 +58,6 @@ from .translator import (
     ToyLexicalTranslator,
     ToyModelConfig,
     Translation,
-    instability_noise,
     load_lexicon,
     load_script,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "emit_mask_k",
     "emit_none",
     "emit_oracle",
-    "instability_noise",
     "is_prefix",
     "load_lexicon",
     "load_lm",

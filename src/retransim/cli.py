@@ -13,10 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .core import CorpusError, SessionTrace, read_lines, tokenize
+from .core import SessionTrace, read_lines, tokenize
 from .metrics import (
     NE_MODES,
-    MetricsError,
     TradeoffPoint,
     aggregate,
     mask_histogram,
@@ -24,7 +23,6 @@ from .metrics import (
 )
 from .predict import (
     EmptyCorpus,
-    LMFormatError,
     PredictorError,
     save_lm,
     train_lm,
@@ -49,19 +47,14 @@ from .sim import (
 from .sim import SweepSpec, load_models  # noqa: F401  re-exported: callers read cli.<name>
 from .strategy import StrategyConfig
 from .synthetic import toy_translator_spec, write_synthetic
-from .translator import ParseError, TranslatorError
+from .translator import TranslatorError
 
+# every other input error (config, corpus, lexicon, trace, metrics, LM file) is a ValueError
 _INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
-    ConfigError,
-    CorpusError,
-    ParseError,
-    TraceError,
-    MetricsError,
     PredictorError,
-    LMFormatError,
     TranslatorError,
     SimulationError,
     ValueError,

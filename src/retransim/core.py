@@ -3,10 +3,20 @@
 A token sequence is a plain tuple of strings, so equality, hashing and
 slicing behave the way the rest of the package expects. All record types
 are frozen dataclasses: traces can be shared freely between workers.
+
+Every input file is read here too: text files line by line through
+numbered_lines, JSON files through load_json, their objects through
+read_config, which takes its schema from a dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+import math
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,3 +174,89 @@ def read_corpus(
             )
         )
     return pairs
+
+
+class ConfigError(ValueError):
+    """A JSON input that does not match its schema."""
+
+
+def _join(sep: str, *parts: str) -> str:
+    return sep.join(part for part in parts if part)
+
+
+# evaluated annotations per config class: evaluating them costs ~170 us a class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def read_config(cls, data, where: str, key: str = ""):
+    """A cls built from data, a parsed JSON object, with cls's fields as its schema.
+
+    Every key must name a field and every field without a default must be
+    present. Each value must have its field's annotated type: a nested
+    dataclass is an object read the same way, tuple[X, ...] a list of X
+    and X | None also null. Values are checked, never converted, so an
+    int stands for a float but a bool, NaN or an infinity is no number.
+    Field metadata may put a field in a nested object ("section"), keep it
+    out of the file ("key": False) or check its value further ("check":
+    f(value, where)). Every failure, __post_init__'s range checks
+    included, is a ConfigError "<where>: <key.path>: <problem>".
+    """
+    hints = _type_hints(cls)
+    sections: dict[str, list[dataclasses.Field]] = {"": []}
+    for f in dataclasses.fields(cls):
+        if f.metadata.get("key", True):
+            sections.setdefault(f.metadata.get("section", ""), []).append(f)
+    top = _object(data, where, key)
+    values = {}
+    for section, fields in sections.items():
+        obj = _object(top.get(section, {}), where, _join(".", key, section)) if section else top
+        allowed = {f.name for f in fields} | (set() if section else sections.keys() - {""})
+        unknown = sorted(obj.keys() - allowed)
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {_join('.', key, section, unknown[0])!r}")
+        for f in fields:
+            path = _join(".", key, section, f.name)
+            if f.name in obj:
+                values[f.name] = _read_value(hints[f.name], obj[f.name], where, path)
+                if "check" in f.metadata:
+                    f.metadata["check"](values[f.name], _join(": ", where, path))
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing key {path!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(_join(": ", where, key, str(exc))) from exc
+
+
+def _object(data, where: str, key: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(_join(": ", where, key, f"expected an object, got {data!r}"))
+    return data
+
+
+def _read_value(tp, value, where: str, key: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return read_config(tp, value, where, key)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _read_value(args[0], value, where, key)
+    if origin is tuple:  # tuple[X, ...], a list in JSON
+        if isinstance(value, list):
+            return tuple(_read_value(args[0], v, where, f"{key}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, (int, float) if tp is float else tp):
+        if tp is bool or not isinstance(value, bool):  # an int stands for a float, a bool is no number
+            if not isinstance(value, float) or math.isfinite(value):
+                return value
+    want = "list" if origin is tuple else tp.__name__
+    raise ConfigError(f"{where}: {key}: expected {want}, got {value!r}")
+
+
+def load_json(path: str | Path, error: type[Exception]):
+    """A JSON file's value; bytes that are not UTF-8 or not JSON raise
+    error("path:line: ...")."""
+    with open(path, encoding="utf-8") as fh:
+        text = "".join(line for _, line in numbered_lines(fh, path, error))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: {exc.msg}") from exc

@@ -13,11 +13,11 @@ import json
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from .core import TokenSeq, utf8_error_location
+from .core import ConfigError, TokenSeq, load_json, read_config
 from .translator import _MASK64, EOS, UNK, _avalanche, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
@@ -62,6 +62,8 @@ class NgramLM:
             raise ValueError(f"order must be in [1, 4], got {order}")
         if not smoothing_alpha > 0:  # NaN too
             raise ValueError("smoothing_alpha must be > 0")
+        if 1 not in counts:
+            raise ValueError("counts: no order-1 table")
         self.order = order
         self.counts = counts
         self.vocabulary = frozenset(vocabulary) | {UNK, EOS}
@@ -181,67 +183,54 @@ def save_lm(lm: NgramLM, path: str | Path) -> None:
         fh.write(text + "\n")
 
 
+def _check_counts(counts: dict, where: str) -> None:
+    """Count tables as save_lm writes them: order -> context -> token -> an int >= 0."""
+    for order, tables in counts.items():
+        if not order.isdecimal() or not isinstance(tables, dict):
+            raise ConfigError(f"{where}: malformed count table {order!r}")
+        for table in tables.values():
+            if not isinstance(table, dict):
+                raise ConfigError(f"{where}: order {order}: malformed count table")
+            for token, count in table.items():
+                if type(count) is not int or count < 0:  # a bool is no count
+                    raise ConfigError(
+                        f"{where}: order {order}, token {token!r}: "
+                        f"expected an int >= 0, got {count!r}"
+                    )
+
+
+@dataclass(frozen=True)
+class _LMFile:
+    """An LM file's keys besides format and version."""
+
+    order: int
+    smoothing_alpha: float
+    vocabulary: tuple[str, ...]
+    counts: dict = field(metadata={"check": _check_counts})
+
+
 def load_lm(path: str | Path) -> NgramLM:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LMFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise LMFormatError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+    payload = load_json(path, LMFormatError)
     if not isinstance(payload, dict) or payload.get("format") != LM_FORMAT:
         raise LMFormatError(f"{path}: not a {LM_FORMAT} file")
     if payload.get("version") != LM_VERSION:
         raise LMFormatError(
             f"{path}: version {payload.get('version')} unsupported (expected {LM_VERSION})"
         )
-    fields = (
-        ("order", int, "int"),
-        ("smoothing_alpha", (int, float), "number"),
-        ("vocabulary", list, "list"),
-        ("counts", dict, "object"),
-    )
-    unknown = sorted(payload.keys() - {"format", "version"} - {key for key, _, _ in fields})
-    if unknown:
-        raise LMFormatError(f"{path}: unknown key {unknown[0]!r}")
-    for key, want, name in fields:
-        if key not in payload:
-            raise LMFormatError(f"{path}: missing key {key!r}")
-        if not isinstance(payload[key], want) or isinstance(payload[key], bool):
-            raise LMFormatError(f"{path}: {key}: expected {name}, got {payload[key]!r}")
-    if not all(isinstance(tok, str) for tok in payload["vocabulary"]):
-        raise LMFormatError(f"{path}: vocabulary: expected a list of str")
+    keys = {key: value for key, value in payload.items() if key not in ("format", "version")}
     try:
+        lm = read_config(_LMFile, keys, str(path))
         counts = {
-            int(o): {
-                tuple(ctx.split("\x1f")) if ctx else (): {
-                    t: _count(c, path, o, t) for t, c in table.items()
-                }
-                for ctx, table in tables.items()
+            int(order): {
+                tuple(ctx.split("\x1f")) if ctx else (): table for ctx, table in tables.items()
             }
-            for o, tables in payload["counts"].items()
+            for order, tables in lm.counts.items()
         }
-    except LMFormatError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise LMFormatError(f"{path}: counts: malformed count table: {exc}") from exc
-    if 1 not in counts:
-        raise LMFormatError(f"{path}: counts: no order-1 table")
-    vocab = set(payload["vocabulary"]) - {UNK, EOS}
-    try:
-        return NgramLM(payload["order"], counts, vocab, payload["smoothing_alpha"])
-    except ValueError as exc:
+        return NgramLM(lm.order, counts, set(lm.vocabulary) - {UNK, EOS}, lm.smoothing_alpha)
+    except ConfigError as exc:
+        raise LMFormatError(str(exc)) from exc
+    except ValueError as exc:  # NgramLM's range checks
         raise LMFormatError(f"{path}: {exc}") from exc
-
-
-def _count(value, path: str | Path, order: str, token: str) -> int:
-    """An n-gram count as load_lm accepts it: an int >= 0, no bool."""
-    if type(value) is not int or value < 0:
-        raise LMFormatError(
-            f"{path}: counts: order {order}, token {token!r}: "
-            f"expected an int >= 0, got {value!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)

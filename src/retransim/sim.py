@@ -12,22 +12,18 @@ replays a recorded session through the same emission policy.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import re
-import types
-import typing
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
-from .core import numbered_lines, utf8_error_location
+from .core import ConfigError, _join, load_json, numbered_lines, read_config
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
 from .strategy import StrategyConfig, emit
@@ -58,92 +54,6 @@ class SchemaVersionMismatch(TraceError):
 
 class TraceInvariantError(TraceError):
     """A trace violates the session invariants."""
-
-
-class ConfigError(ValueError):
-    """Malformed run configuration."""
-
-
-def _join(sep: str, *parts: str) -> str:
-    return sep.join(part for part in parts if part)
-
-
-# evaluated annotations per config class: evaluating them costs ~170 us a class
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def read_config(cls, data, where: str, key: str = ""):
-    """A cls built from data, a parsed JSON object, with cls's fields as its schema.
-
-    Every key must name a field and every field without a default must be
-    present. Each value must have its field's annotated type: a nested
-    dataclass is an object read the same way, tuple[X, ...] a list of X
-    and X | None also null. Values are checked, never converted, so an
-    int stands for a float but a bool, NaN or an infinity is no number.
-    Field metadata may put a field in a nested object ("section"), keep it
-    out of the file ("key": False) or check its value further ("check":
-    f(value, where)). Every failure, __post_init__'s range checks
-    included, is a ConfigError "<where>: <key.path>: <problem>".
-    """
-    hints = _type_hints(cls)
-    sections: dict[str, list[dataclasses.Field]] = {"": []}
-    for f in dataclasses.fields(cls):
-        if f.metadata.get("key", True):
-            sections.setdefault(f.metadata.get("section", ""), []).append(f)
-    top = _object(data, where, key)
-    values = {}
-    for section, fields in sections.items():
-        obj = _object(top.get(section, {}), where, _join(".", key, section)) if section else top
-        allowed = {f.name for f in fields} | (set() if section else sections.keys() - {""})
-        unknown = sorted(obj.keys() - allowed)
-        if unknown:
-            raise ConfigError(f"{where}: unknown key {_join('.', key, section, unknown[0])!r}")
-        for f in fields:
-            path = _join(".", key, section, f.name)
-            if f.name in obj:
-                values[f.name] = _read_value(hints[f.name], obj[f.name], where, path)
-                if "check" in f.metadata:
-                    f.metadata["check"](values[f.name], _join(": ", where, path))
-            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing key {path!r}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(_join(": ", where, key, str(exc))) from exc
-
-
-def _object(data, where: str, key: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(_join(": ", where, key, f"expected an object, got {data!r}"))
-    return data
-
-
-def _read_value(tp, value, where: str, key: str):
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if dataclasses.is_dataclass(tp):
-        return read_config(tp, value, where, key)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        return None if value is None else _read_value(args[0], value, where, key)
-    if origin is tuple:  # tuple[X, ...], a list in JSON
-        if isinstance(value, list):
-            return tuple(_read_value(args[0], v, where, f"{key}[{i}]") for i, v in enumerate(value))
-    elif isinstance(value, (int, float) if tp is float else tp):
-        if tp is bool or not isinstance(value, bool):  # an int stands for a float, a bool is no number
-            if not isinstance(value, float) or math.isfinite(value):
-                return value
-    want = "list" if origin is tuple else tp.__name__
-    raise ConfigError(f"{where}: {key}: expected {want}, got {value!r}")
-
-
-def _load_json(path: str | Path):
-    """A JSON file's value; bytes that are not UTF-8 or not JSON are a ConfigError naming path:line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
 
 
 @dataclass(frozen=True)
@@ -222,7 +132,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def load_run_config(path: str | Path, parallelism: int = 1) -> RunConfig:
-    return RunConfig.from_dict(_load_json(path), parallelism, where=str(path))
+    return RunConfig.from_dict(load_json(path, ConfigError), parallelism, where=str(path))
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
@@ -324,10 +234,7 @@ def run_sentence(
 
         probe_outputs: tuple[TokenSeq, ...] = ()
         try:
-            if strat.kind == "oracle" and is_final:
-                hyp = full_translation  # the upfront full-sentence call
-            else:
-                hyp = translator.translate(prefix, bias, is_final).tokens
+            hyp = translator.translate(prefix, bias, is_final).tokens
             if _takes_probes(strat, is_final):
                 extensions = memo.extensions(predictor, i)
                 probe_outputs = tuple(
@@ -626,7 +533,7 @@ class SweepSpec:
 
 
 def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
-    return SweepSpec.from_dict(_load_json(path), parallelism, where=str(path))
+    return SweepSpec.from_dict(load_json(path, ConfigError), parallelism, where=str(path))
 
 
 def run_sweep(

@@ -155,11 +155,6 @@ def _noise(prefix_state: int, token_state: int, target_len: int) -> float:
     return 2.0 * (h / _MASK64) - 1.0
 
 
-def instability_noise(seed: int, source: TokenSeq, target_len: int, token: str) -> float:
-    """Deterministic noise in [-1, 1] for one candidate at one decode step."""
-    return _noise(_prefix_state(seed, source), _token_state(token), target_len)
-
-
 def mix64(*values: int) -> int:
     """Fold integers into one 64-bit value; used to derive RNG streams."""
     h = _FNV_BASIS
@@ -401,6 +396,9 @@ def _build_kernel() -> Path:
         os.replace(tmp, lib)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in lib.parent.glob("_beam.*.so"):  # earlier sources' or flags' builds
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from retransim import sim
 from retransim.cli import main
-from retransim.predict import PredictorConfig, save_lm, train_lm
+from retransim.predict import (
+    LM_FORMAT,
+    LM_VERSION,
+    LMFormatError,
+    PredictorConfig,
+    load_lm,
+    save_lm,
+    train_lm,
+)
 from retransim.sim import ConfigError, RunConfig, SweepSpec, config_hash
 from retransim.strategy import StrategyConfig
 from conftest import write_corpus
@@ -440,3 +448,43 @@ def test_run_config_round_trips_with_its_hash(cfg):
     read = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert read == cfg
     assert config_hash(read) == config_hash(cfg)
+
+
+def _lm_loads_or_rejects(path, payload) -> None:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        load_lm(path)
+    except LMFormatError:
+        pass
+
+
+lm_keys = st.dictionaries(
+    st.sampled_from(["order", "smoothing_alpha", "vocabulary", "counts"]) | st.text(max_size=8),
+    json_values,
+    max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(json_values, lm_keys)
+def test_load_lm_on_any_json_raises_only_lm_format_error(tmp_path_factory, value, keys):
+    path = tmp_path_factory.mktemp("lm") / "lm.json"
+    _lm_loads_or_rejects(path, value)
+    _lm_loads_or_rejects(path, {"format": LM_FORMAT, "version": LM_VERSION, **keys})
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=4), min_size=1, max_size=3),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_lm_file_with_one_value_swapped_raises_only_lm_format_error(
+    tmp_path_factory, corpus, order, data
+):
+    path = tmp_path_factory.mktemp("lm") / "lm.json"
+    save_lm(train_lm([tuple(sentence) for sentence in corpus], order=order), path)
+    valid = json.loads(path.read_text(encoding="utf-8"))
+    load_lm(path)
+    swapped = data.draw(st.sampled_from(list(_paths(valid))))
+    _lm_loads_or_rejects(path, _changed(valid, swapped, data.draw(json_values)))

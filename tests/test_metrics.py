@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retransim.core import SessionTrace, StepRecord
+from retransim.core import SessionTrace, StepRecord, is_prefix
 from retransim import metrics
 from retransim.metrics import (
     EmptyTrace,
@@ -174,6 +174,26 @@ def test_ne_empty_final():
 def test_ne_total_rewrite():
     trace = make_trace([("a", "b"), ("x", "y")])
     assert normalized_erasure(trace) == 1.0
+
+
+_DISPLAYS = st.lists(st.sampled_from("ab"), max_size=4).map(tuple)
+# displays that mostly each extend the last: cuts of one growing sequence
+_GROWING = st.lists(st.sampled_from("ab"), max_size=8).flatmap(
+    lambda full: st.lists(st.integers(0, len(full)), min_size=1, max_size=6).map(
+        lambda cuts: [tuple(full[:cut]) for cut in sorted(cuts)]
+    )
+)
+
+
+@given(st.lists(_DISPLAYS, min_size=1, max_size=6) | _GROWING)
+def test_ne_is_zero_exactly_when_each_display_extends_the_last(outputs):
+    trace = make_trace(outputs)
+    grows = all(is_prefix(a, b) for a, b in zip(outputs, outputs[1:]))
+    if not grows and not outputs[-1]:  # erasure with an empty final output is undefined
+        with pytest.raises(FlickerOnEmptyFinal):
+            normalized_erasure(trace)
+    else:
+        assert (normalized_erasure(trace) == 0.0) == grows
 
 
 # ---------------------------------------------------------------------------

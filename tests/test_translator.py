@@ -26,7 +26,9 @@ from retransim.translator import (
     ToyModelConfig,
     UnknownSourceToken,
     _MASK64,
-    instability_noise,
+    _noise,
+    _prefix_state,
+    _token_state,
     load_lexicon,
     load_script,
     mix64,
@@ -389,6 +391,11 @@ def test_determinism_and_caching():
 # ---------------------------------------------------------------------------
 
 
+def instability_noise(seed: int, source: TokenSeq, target_len: int, token: str) -> float:
+    """The decoder's noise in [-1, 1] for one candidate at one decode step."""
+    return _noise(_prefix_state(seed, source), _token_state(token), target_len)
+
+
 def test_noise_range_and_determinism():
     vals = set()
     for tok in ["x", "y", "zz"]:
@@ -504,6 +511,19 @@ def test_kernel_matches_python_beam_search(case):
     _assert_kernel_matches_python(ToyLexicalTranslator(cfg), source, final, bias)
 
 
+@settings(deadline=None)
+@given(decoding_cases(), st.lists(st.sampled_from(TARGET_WORDS + (UNK, EOS)), max_size=12))
+def test_bias_with_beta_zero_decodes_as_no_bias(case, previous):
+    cfg, source, final, _ = case
+    tr = ToyLexicalTranslator(cfg)
+    zero = BiasSpec(tuple(previous), 0.0)
+    # translate runs the kernel when it is loaded
+    for search in (tr._python_beam_search, tr.translate):
+        got, want = search(source, zero, final), search(source, None, final)
+        assert got.tokens == want.tokens
+        assert got.score.hex() == want.score.hex()
+
+
 @needs_kernel
 def test_kernel_matches_python_past_64_source_positions():
     lex = {
@@ -581,6 +601,22 @@ def test_kernel_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):
     monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
     with pytest.raises(OSError, match="no C compiler"):
         translator._build_kernel()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_build_removes_stale_libraries(tmp_path, monkeypatch):
+    source = tmp_path / "_beam.c"
+    shutil.copyfile(translator._KERNEL_SOURCE, source)
+    monkeypatch.setattr(translator, "_KERNEL_SOURCE", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_beam.0000000000000000.so"  # an earlier source's build
+    stale.write_bytes(b"")
+    (cache / "core.cpython-311.pyc").write_bytes(b"")
+    lib = translator._build_kernel()
+    assert not stale.exists()
+    assert sorted(p.name for p in cache.iterdir()) == sorted([lib.name, "core.cpython-311.pyc"])
+    assert translator._build_kernel() == lib  # the fresh library stays cached
 
 
 # ---------------------------------------------------------------------------
