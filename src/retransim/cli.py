@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import SessionTrace, read_lines, tokenize
+from .core import read_lines, tokenize
 from .metrics import (
     NE_MODES,
     TradeoffPoint,
@@ -32,16 +32,13 @@ from .sim import (
     RunConfig,
     SimulationError,
     SweepCellError,
-    TraceError,
-    TraceInvariantError,
     config_hash,
     load_run_config,
     load_sweep_spec,
-    read_traces,
+    read_valid_traces,
     run_corpus,
     run_sweep,
     save_run_config,
-    validate_trace,
     write_traces,
 )
 from .sim import SweepSpec, load_models  # noqa: F401  re-exported: callers read cli.<name>
@@ -137,7 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec, parallelism=args.parallelism)
-    results = run_sweep(spec, out_dir=args.out_dir, write_cell_traces=args.traces)
+    results = run_sweep(spec, traces_dir=args.out_dir if args.traces else None)
     points = [point for _, point, _ in results]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,28 +150,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_valid_traces(path: str) -> tuple[RunConfig | None, list[SessionTrace]]:
-    """Read a trace file and validate every trace before anything scores it.
-
-    With a run header, each trace's emissions are replayed under the
-    header's strategy; without one only the structural checks run.
-    """
-    header, traces = read_traces(path)
-    if not traces:
-        raise TraceError(f"{path}: no traces")
-    cfg = None
-    if header is not None:
-        cfg = RunConfig.from_dict(header.get("config"), where=f"{path}: run header")
-    for trace in traces:
-        try:
-            validate_trace(trace, cfg.strategy if cfg else None)
-        except TraceInvariantError as exc:
-            raise TraceInvariantError(f"{path}: {exc}") from exc
-    return cfg, traces
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    cfg, traces = _read_valid_traces(args.traces)
+    cfg, traces = read_valid_traces(args.traces)
     label = args.label or (cfg.strategy.label if cfg else "unknown")
     point = aggregate(label, traces, ne_mode=cfg.ne_mode if cfg else "mean")
     if args.out:
@@ -185,7 +162,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_mask_hist(args: argparse.Namespace) -> int:
-    _, traces = _read_valid_traces(args.traces)
+    _, traces = read_valid_traces(args.traces)
     hist = mask_histogram(traces)
     if args.csv:
         print("mask_length,count")

@@ -109,21 +109,6 @@ class NgramLM:
         # index finds the first of equal counts: the smallest token
         return cum, vocab[counts.index(max(counts))]
 
-    def prob(self, token: str, context: TokenSeq = ()) -> float:
-        if token not in self.vocabulary:
-            token = UNK
-        _, table = self._resolve(context)
-        a = self.smoothing_alpha
-        v = len(self.vocabulary)
-        return (table.get(token, 0) + a) / (sum(table.values()) + a * v)
-
-    def distribution(self, context: TokenSeq = ()) -> list[tuple[str, float]]:
-        """(token, prob) over the full vocabulary, sorted by token."""
-        _, table = self._resolve(context)
-        a = self.smoothing_alpha
-        denom = sum(table.values()) + a * len(self.vocabulary)
-        return [(t, (table.get(t, 0) + a) / denom) for t in self._sorted_vocab]
-
     def argmax(self, context: TokenSeq = ()) -> str:
         """Most probable next token; ties break lexicographically."""
         return self._table(context)[1]

@@ -163,19 +163,18 @@ class Models:
     vocab: frozenset[str] | None = None
 
 
-def load_models(cfg: RunConfig, pairs: list[SentencePair] | None = None) -> Models:
-    """Build the shared read-only models; usable across strategies.
+def load_models(cfg: RunConfig, pairs: list[SentencePair]) -> Models:
+    """Build the shared read-only models that cfg.translator and
+    cfg.lm_path name; no strategy is read, so any strategy can use them.
 
     The probe vocabulary comes from the LM when one is loaded, otherwise
-    from the corpus source side.
+    from the source side of pairs.
     """
     translator = build_translator(cfg.translator)
     lm = load_lm(cfg.lm_path) if cfg.lm_path else None
-    check_lm(cfg.strategy, lm)
-    vocab: frozenset[str] | None = None
     if lm is not None:
         vocab = frozenset(lm.vocabulary) - {UNK, EOS}
-    elif pairs is not None:
+    else:
         vocab = frozenset(tok for pair in pairs for tok in pair.source)
     return Models(translator=translator, lm=lm, vocab=vocab)
 
@@ -360,15 +359,32 @@ def run_corpus(
     cfg: RunConfig, models: Models | None = None
 ) -> tuple[list[SessionTrace], TradeoffPoint]:
     """Run every corpus sentence and aggregate corpus metrics."""
-    pairs = read_corpus(cfg.source_path, cfg.reference_path, cfg.char_mode)
-    if not pairs:
-        raise CorpusError(f"{cfg.source_path}: empty corpus")
-    if models is None:
-        models = load_models(cfg, pairs)
-    traces, failure = _simulate([cfg], pairs, models, cfg.parallelism)
+    traces, failure = _run_configs(cfg, [cfg], models)
     if failure is not None:
         raise failure[1]
     return traces[0], aggregate(cfg.strategy.label, traces[0], ne_mode=cfg.ne_mode)
+
+
+def _run_configs(
+    base: RunConfig, cfgs: list[RunConfig], models: Models | None = None
+) -> tuple[list[list[SessionTrace]], tuple[int, Exception] | None]:
+    """Every config over base's corpus, as _simulate returns it.
+
+    The corpus is read once, and base's models are loaded once unless
+    given. Every config's LM need is checked before any sentence is
+    simulated; an unmet one is that config's failure.
+    """
+    pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
+    if not pairs:
+        raise CorpusError(f"{base.source_path}: empty corpus")
+    if models is None:
+        models = load_models(base, pairs)
+    for index, cfg in enumerate(cfgs):
+        try:
+            check_lm(cfg.strategy, models.lm)
+        except MissingLM as exc:
+            return [], (index, exc)
+    return _simulate(cfgs, pairs, models, base.parallelism)
 
 
 def _simulate(
@@ -507,11 +523,9 @@ class SweepSpec:
             for k in self.predictor_k or (1,):
                 for n in self.predictor_n or (1,):
                     predictors.append(PredictorConfig(strategy=strat, k=k, n=n))
-        seen_preds = set()
-        for pred in predictors:
-            if pred.label in seen_preds:
-                continue
-            seen_preds.add(pred.label)
+        # equal predictors merge; different ones that share a label are
+        # reported as duplicate labels below
+        for pred in dict.fromkeys(predictors):
             out.extend(
                 StrategyConfig("dynamic", predictor=pred, bias_beta=b) for b in betas
             )
@@ -537,48 +551,39 @@ def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
 
 
 def run_sweep(
-    spec: SweepSpec,
-    out_dir: str | Path | None = None,
-    write_cell_traces: bool = False,
+    spec: SweepSpec, traces_dir: str | Path | None = None
 ) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
     """Run every cell; results come back sorted by strategy label.
 
-    Every cell's LM needs are checked before any work starts. The cells
-    run sentence by sentence through simulate_sentence, which shares
-    each sentence's translations and probe draws across cells; that is
-    sound because translators and predictors are pure functions of their
-    inputs. With spec.base.parallelism > 1 each worker process does so
-    over its shard of sentences.
+    The base config supplies the corpus, models and run settings; its
+    strategy is not run. Every cell's LM needs are checked before any
+    work starts. The cells run sentence by sentence through
+    simulate_sentence, which shares each sentence's translations and
+    probe draws across cells; that is sound because translators and
+    predictors are pure functions of their inputs. With
+    spec.base.parallelism > 1 each worker process does so over its shard
+    of sentences. With traces_dir, each cell's traces are written there
+    as <label>.jsonl.
     """
-    base = spec.base
-    pairs = read_corpus(base.source_path, base.reference_path, base.char_mode)
-    if not pairs:
-        raise CorpusError(f"{base.source_path}: empty corpus")
-    models = load_models(base, pairs)
     cells = spec.cells()
-    for cell in cells:
-        try:
-            check_lm(cell, models.lm)
-        except MissingLM as exc:
-            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-    cfgs = [dataclasses.replace(base, strategy=cell) for cell in cells]
-    traces, failure = _simulate(cfgs, pairs, models, base.parallelism)
+    cfgs = [dataclasses.replace(spec.base, strategy=cell) for cell in cells]
+    traces, failure = _run_configs(spec.base, cfgs)
     if failure is not None:
         index, exc = failure
         raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    if traces_dir is not None:
+        traces_dir = Path(traces_dir)
+        traces_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for cell, cfg, cell_traces in zip(cells, cfgs, traces):
         try:
             point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
         except MetricsError as exc:
             raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-        if out_path is not None and write_cell_traces:
+        if traces_dir is not None:
             name = _safe_filename(cell.label) + ".jsonl"
-            _atomic_write_traces(out_path / name, cell_traces, cfg)
+            _atomic_write_traces(traces_dir / name, cell_traces, cfg)
         results.append((cell, point, cell_traces))
     results.sort(key=lambda item: item[0].label)
     return results
@@ -729,6 +734,32 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                 except TraceError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return header, traces
+
+
+def read_valid_traces(path: str | Path) -> tuple[RunConfig | None, list[SessionTrace]]:
+    """Read a trace file and validate every trace before anything scores it.
+
+    A run header's config must hash to its config_hash, and each trace's
+    emissions are replayed under the header's strategy; without a header
+    only the structural checks run.
+    """
+    header, traces = read_traces(path)
+    if not traces:
+        raise TraceError(f"{path}: no traces")
+    cfg = None
+    if header is not None:
+        cfg = RunConfig.from_dict(header.get("config"), where=f"{path}: run header")
+        if header.get("config_hash") != config_hash(cfg):
+            raise TraceError(
+                f"{path}:1: run header config_hash {header.get('config_hash')!r} "
+                "does not match its config"
+            )
+    for trace in traces:
+        try:
+            validate_trace(trace, cfg.strategy if cfg else None)
+        except TraceInvariantError as exc:
+            raise TraceInvariantError(f"{path}: {exc}") from exc
+    return cfg, traces
 
 
 def _step_error(trace: SessionTrace, pos: int, problem: str) -> TraceInvariantError:

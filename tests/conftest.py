@@ -3,12 +3,29 @@ from __future__ import annotations
 import pytest
 
 from retransim.core import SentencePair, tokenize
+from retransim.predict import UNK
 from retransim.translator import ToyLexicalTranslator, ToyModelConfig
 
 
 def seq(text: str) -> tuple[str, ...]:
     """Shorthand: whitespace-split a string into a token tuple."""
     return tokenize(text)
+
+
+def lm_prob(lm, token: str, context: tuple[str, ...] = ()) -> float:
+    """An NgramLM's add-alpha probability, (count + alpha) / (total + alpha * |V|),
+    read off the count table its context backs off to; the oracle for its
+    sampling tables."""
+    if token not in lm.vocabulary:
+        token = UNK
+    _, table = lm._resolve(context)
+    a = lm.smoothing_alpha
+    return (table.get(token, 0) + a) / (sum(table.values()) + a * len(lm.vocabulary))
+
+
+def lm_distribution(lm, context: tuple[str, ...] = ()) -> list[tuple[str, float]]:
+    """(token, lm_prob) over an NgramLM's whole vocabulary, sorted by token."""
+    return [(t, lm_prob(lm, t, context)) for t in sorted(lm.vocabulary)]
 
 
 def pairs_from(src_lines: list[str], ref_lines: list[str]) -> list[SentencePair]:

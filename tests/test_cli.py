@@ -15,7 +15,7 @@ from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
 from retransim.predict import load_lm
 from retransim.sim import ConfigError, RunConfig, read_traces, save_run_config
 from retransim.strategy import StrategyConfig
-from conftest import write_corpus
+from conftest import lm_prob, write_corpus
 
 
 def _write_lexicon(tmp_path, lexicon) -> Path:
@@ -72,7 +72,7 @@ def test_train_lm_round_trip_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     lm = load_lm(out1)
     assert lm.order == 2
-    assert lm.prob("b", ("a",)) > lm.prob("c", ("a",))
+    assert lm_prob(lm, "b", ("a",)) > lm_prob(lm, "c", ("a",))
 
 
 def test_train_lm_order_one_has_only_unigrams(tmp_path):
@@ -393,6 +393,24 @@ def test_sweep_missing_lm_fails_before_any_work(workspace, tmp_path, capsys, mon
     assert simulated == []
 
 
+def test_sweep_ignores_its_base_strategy(workspace, tmp_path, capsys):
+    # a base whose strategy needs an LM the spec does not name runs its
+    # mask_k cells exactly as a base with no strategy of note
+    tmp_path, cfg, _ = workspace
+    csvs = []
+    for strategy in ({"kind": "dynamic", "predictor": {"strategy": "lm_greedy"}},
+                     {"kind": "none"}):
+        spec = _sweep_spec_dict(cfg)
+        spec["base"]["strategy"] = strategy
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out_dir = tmp_path / strategy["kind"]
+        code = main(["sweep", "--spec", str(spec_path), "--out-dir", str(out_dir)])
+        assert code == 0, capsys.readouterr().err
+        csvs.append((out_dir / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_worker_errors_match_serial_errors(workspace, tmp_path, capsys, command):
     """Two workers each fail on a different sentence; the serial run's error wins."""
@@ -498,6 +516,28 @@ def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tampe
     assert main([command, "--traces", str(traces_path)]) == 2
     captured = capsys.readouterr()
     assert f"{traces_path}: {problem}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize("stale", ["edited", "missing"])
+def test_run_header_config_hash_is_checked(workspace, capsys, command, stale):
+    tmp_path, _, cfg_path = workspace
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--traces-out", str(traces_path)]) == 0
+    header, *traces = traces_path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(header)
+    if stale == "edited":
+        header["config"]["ne_mode"] = "corpus"  # scores differently, hash left as it was
+    else:
+        del header["config_hash"]
+    traces_path.write_text(
+        "".join(line + "\n" for line in (json.dumps(header), *traces)), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main([command, "--traces", str(traces_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{traces_path}:1: run header config_hash" in captured.err
     assert captured.out == ""
 
 

@@ -223,6 +223,9 @@ SWEEP_CASES = [
     (("base",), "run.json", "base"),
     ((), [], "expected an object"),
     (("base", "translator", "beam_size"), 0, "toy translator: beam_size"),
+    # different predictors, one label: no cell may be dropped
+    (("dynamic_cells",), [{"strategy": "random", "seed": 1}, {"strategy": "random", "seed": 2}],
+     "duplicate sweep cell labels: ['dynamic:random,k=1,n=1']"),
 ]
 
 
@@ -232,6 +235,23 @@ def test_bad_sweep_spec_exits_2(files, monkeypatch, capsys, path, value, key):
     spec_path = _write(files["dir"] / "sweep.json", _changed(spec, path, value))
     argv = ["sweep", "--spec", spec_path, "--out-dir", str(files["dir"] / "out")]
     _rejected(monkeypatch, capsys, argv, f"{spec_path}: bad sweep spec", key)
+
+
+@pytest.mark.parametrize(
+    "extra, label",
+    [
+        # listed in dynamic_cells and drawn from the axes
+        ({"dynamic_cells": [{"strategy": "random", "k": 2}],
+          "axes": {"predictor_strategy": ["random"], "predictor_k": [2]}},
+         "dynamic:random,k=2,n=1"),
+        # lm_greedy folds n to 1
+        ({"axes": {"predictor_strategy": ["lm_greedy"], "predictor_n": [1, 3]}},
+         "dynamic:lm_greedy,k=1,n=1"),
+    ],
+)
+def test_equal_sweep_predictors_merge_into_one_cell(files, extra, label):
+    spec = SweepSpec.from_dict({"base": files["config"], **extra})
+    assert [cell.label for cell in spec.cells()] == [label]
 
 
 @pytest.mark.parametrize("command", ["metrics", "mask-hist"])

@@ -25,7 +25,7 @@ from retransim.predict import (
 )
 from retransim.synthetic import write_synthetic
 from retransim.translator import mix64
-from conftest import seq
+from conftest import lm_distribution, lm_prob, seq
 
 
 @pytest.fixture
@@ -39,39 +39,39 @@ def test_add_alpha_probability_closed_form(bigram_lm):
     alpha = bigram_lm.smoothing_alpha
     v = len(bigram_lm.vocabulary)
     assert v == 4
-    assert bigram_lm.prob("b", ("a",)) == pytest.approx((2 + alpha) / (2 + alpha * v))
-    assert bigram_lm.prob("a", ("a",)) == pytest.approx(alpha / (2 + alpha * v))
+    assert lm_prob(bigram_lm, "b", ("a",)) == pytest.approx((2 + alpha) / (2 + alpha * v))
+    assert lm_prob(bigram_lm, "a", ("a",)) == pytest.approx(alpha / (2 + alpha * v))
 
 
 def test_distributions_sum_to_one(bigram_lm):
     lm3 = train_lm([seq("a b c"), seq("b c a"), seq("c")], order=3, smoothing_alpha=0.1)
     for lm in (bigram_lm, lm3):
         for ctx in [(), ("a",), ("a", "b"), ("never", "seen")]:
-            total = sum(p for _, p in lm.distribution(ctx))
+            total = sum(p for _, p in lm_distribution(lm, ctx))
             assert total == pytest.approx(1.0, abs=1e-9)
-            brute = sum(lm.prob(t) if not ctx else lm.prob(t, ctx) for t in lm.vocabulary)
+            brute = sum(lm_prob(lm, t) if not ctx else lm_prob(lm, t, ctx) for t in lm.vocabulary)
             assert brute == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unigram_ignores_context():
     lm = train_lm([seq("a b"), seq("b b")], order=1, smoothing_alpha=0.2)
-    assert lm.prob("b", ("a",)) == lm.prob("b", ()) == lm.prob("b", ("b", "b"))
+    assert lm_prob(lm, "b", ("a",)) == lm_prob(lm, "b", ()) == lm_prob(lm, "b", ("b", "b"))
 
 
 def test_unseen_context_backs_off_to_unigram(bigram_lm):
-    assert bigram_lm.prob("b", ("zzz",)) == bigram_lm.prob("b", ())
+    assert lm_prob(bigram_lm, "b", ("zzz",)) == lm_prob(bigram_lm, "b", ())
     # observed context uses its own table instead
-    assert bigram_lm.prob("b", ("a",)) != bigram_lm.prob("b", ())
+    assert lm_prob(bigram_lm, "b", ("a",)) != lm_prob(bigram_lm, "b", ())
 
 
 def test_backoff_through_middle_orders():
     lm = train_lm([seq("a b c"), seq("a b d")], order=3, smoothing_alpha=0.1)
     # ("b",) context observed at order 2; ("x", "b") unseen at order 3
-    assert lm.prob("c", ("x", "b")) == lm.prob("c", ("b",))
+    assert lm_prob(lm, "c", ("x", "b")) == lm_prob(lm, "c", ("b",))
 
 
 def test_out_of_vocabulary_token_maps_to_unk(bigram_lm):
-    assert bigram_lm.prob("zzz", ("a",)) == bigram_lm.prob(UNK, ("a",))
+    assert lm_prob(bigram_lm, "zzz", ("a",)) == lm_prob(bigram_lm, UNK, ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ class _FixedDraw:
 def _scan_sample(lm: NgramLM, context: tuple[str, ...], u: float) -> str:
     # the sampler as a linear scan over the full distribution
     acc = 0.0
-    dist = lm.distribution(context)
+    dist = lm_distribution(lm, context)
     for token, p in dist:
         acc += p
         if u < acc:
@@ -125,7 +125,7 @@ def lm_cases(draw):
     contexts = draw(st.lists(query, min_size=1, max_size=4))
     boundaries = []
     acc = 0.0
-    for _, p in lm.distribution(contexts[0]):
+    for _, p in lm_distribution(lm, contexts[0]):
         acc += p
         boundaries += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 2.0)]
     draws = [0.0, math.nextafter(1.0, 0.0), *boundaries]
@@ -187,7 +187,7 @@ def test_lm_round_trip(tmp_path, bigram_lm):
     assert loaded.order == bigram_lm.order
     assert loaded.vocabulary == bigram_lm.vocabulary
     for ctx in [(), ("a",), ("b",)]:
-        assert loaded.distribution(ctx) == bigram_lm.distribution(ctx)
+        assert lm_distribution(loaded, ctx) == lm_distribution(bigram_lm, ctx)
     # re-saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "lm2.json"
     save_lm(loaded, path2)
@@ -238,7 +238,7 @@ def test_lm_greedy_predicts_argmax(bigram_lm):
     cfg = PredictorConfig(strategy="lm_greedy", k=1)
     got = predict_extensions(cfg, bigram_lm, None, ("a",))
     # brute-force argmax of the smoothed bigram after "a"
-    best = max(sorted(bigram_lm.vocabulary), key=lambda t: bigram_lm.prob(t, ("a",)))
+    best = max(sorted(bigram_lm.vocabulary), key=lambda t: lm_prob(bigram_lm, t, ("a",)))
     assert best == "b"
     assert got == [("a", "b")]
 
@@ -295,7 +295,7 @@ def test_sampling_matches_lm_frequencies(bigram_lm):
         tok = ext[1] if len(ext) > 1 else EOS
         counts[tok] = counts.get(tok, 0) + 1
     for tok in bigram_lm.vocabulary:
-        expected = bigram_lm.prob(tok, ("a",))
+        expected = lm_prob(bigram_lm, tok, ("a",))
         assert counts.get(tok, 0) / total == pytest.approx(expected, abs=0.03)
 
 

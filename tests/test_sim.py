@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from retransim import sim
 from retransim import translator as translator_module
-from retransim.core import CorpusLengthMismatch, SentencePair, SessionTrace, StepRecord
+from retransim.core import CorpusLengthMismatch, SentencePair, SessionTrace, StepRecord, read_corpus
 from retransim.metrics import aggregate, erased_between, normalized_erasure
 from retransim.predict import EOS, UNK, PredictorConfig, predict_extensions, save_lm, train_lm
 from retransim.sim import (
@@ -559,14 +559,18 @@ def test_load_run_config_line_anchored_error(tmp_path):
     assert ":2:" in str(err.value)
 
 
-def test_load_models_validates_lm_requirement(tmp_path):
+def test_run_corpus_validates_lm_requirement(tmp_path):
     from retransim.predict import MissingLM
 
     cfg = _noisy_corpus_config(
         tmp_path, StrategyConfig("dynamic", predictor=PredictorConfig("lm_greedy"))
     )
     with pytest.raises(MissingLM):
-        load_models(cfg)
+        run_corpus(cfg)
+    # models loaded without an LM are checked too, before any sentence runs
+    models = load_models(cfg, read_corpus(cfg.source_path, cfg.reference_path))
+    with pytest.raises(MissingLM):
+        run_corpus(cfg, models)
 
 
 def test_bias_changes_decoding_on_unstable_model(tmp_path):
