@@ -19,7 +19,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
@@ -184,7 +184,10 @@ def check_lm(strategy: StrategyConfig, lm: NgramLM | None) -> None:
     if strategy.kind != "dynamic" or lm is not None:
         return
     if strategy.predictor.strategy in ("lm_sample", "lm_greedy"):
-        raise MissingLM(f"strategy {strategy.predictor.strategy} needs --lm (see train-lm)")
+        raise MissingLM(
+            f"strategy {strategy.predictor.strategy} needs an LM: run's --lm, or lm_path "
+            "in a run config or a sweep's base config (see train-lm)"
+        )
 
 
 def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
@@ -638,8 +641,14 @@ def trace_to_dict(trace: SessionTrace) -> dict:
 _NO_PROBES: list = []
 
 
-def trace_from_dict(data: dict) -> SessionTrace:
-    """Rebuild a trace; raises TraceError for a wrong version or missing fields."""
+def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
+    """Rebuild a trace; raises TraceError for a wrong version or a missing or mistyped field.
+
+    Every token field must be an array of strings (`reference` may be
+    null) and `sentence_id` an int. Each token is stored as
+    `strings.setdefault(token, token)`, so traces built with one `strings`
+    dict hold each distinct token once; read_traces keeps one per file.
+    """
     version = data.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise SchemaVersionMismatch(
@@ -648,32 +657,56 @@ def trace_from_dict(data: dict) -> SessionTrace:
     missing = [key for key in ("sentence_id", "records", "final_output") if key not in data]
     if missing:
         raise TraceError(f"trace lacks {', '.join(map(repr, missing))}")
+    sentence_id = data["sentence_id"]
+    if type(sentence_id) is not int:
+        raise TraceError(f"sentence_id: expected int, got {sentence_id!r}")
+    if strings is None:
+        strings = {}
+    known = len(strings)
+    share = strings.setdefault
+
+    def tokens(seq) -> TokenSeq:
+        # a non-iterable fails in map, an iterable that is not an array here;
+        # tuples are arrays too, as trace_to_dict leaves them
+        toks = tuple(map(share, seq, seq))
+        if not isinstance(seq, (list, tuple)):
+            raise TypeError(f"expected an array of strings, got {type(seq).__name__}")
+        return toks
+
     try:
         # StepRecords built positionally, in field order; absent or empty
-        # probes are (), anything else is converted and may raise
+        # probes are (), anything else is converted and may raise: a
+        # probes value that is not an array fails in `tokens`, on its first
+        # element or, if it converts to (), on itself
         records = tuple([
             StepRecord(
                 rec["step_index"],
-                tuple(rec["source_prefix"]),
-                tuple(rec["raw_hypothesis"]),
-                tuple(rec["emitted_output"]),
+                tokens(rec["source_prefix"]),
+                tokens(rec["raw_hypothesis"]),
+                tokens(rec["emitted_output"]),
                 rec["mask_length"],
                 rec["is_final"],
                 () if (probes := rec.get("probes", _NO_PROBES)) == _NO_PROBES
-                else tuple(map(tuple, probes)),
+                else tuple(map(tokens, probes)) or tokens(probes),
                 rec.get("n_translate_calls", 1),
             )
             for rec in data["records"]
         ])
     except (AttributeError, KeyError, TypeError) as exc:
         raise TraceError(f"malformed step record: {type(exc).__name__}: {exc}") from exc
-    reference = data.get("reference")
-    return SessionTrace(
-        sentence_id=data["sentence_id"],
-        records=records,
-        final_output=tuple(data["final_output"]),
-        reference=tuple(reference) if reference is not None else None,
-    )
+    ends = []
+    for key in ("final_output", "reference"):
+        value = data.get(key)
+        try:
+            ends.append(None if value is None and key == "reference" else tokens(value))
+        except TypeError as exc:
+            raise TraceError(f"malformed {key}: TypeError: {exc}") from exc
+    # only the tokens this trace added to strings are type-checked, so a
+    # file costs one check per distinct token
+    for token in islice(reversed(strings), len(strings) - known):
+        if type(token) is not str:
+            raise TraceError(f"token {token!r}: expected a string")
+    return SessionTrace(sentence_id, records, *ends)
 
 
 def write_traces(
@@ -696,9 +729,13 @@ def write_traces(
 
 
 def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
-    """Read a trace file back; returns (header or None, traces)."""
+    """Read a trace file back; returns (header or None, traces).
+
+    The traces share one string per distinct token (see trace_from_dict).
+    """
     header: dict | None = None
     traces: list[SessionTrace] = []
+    strings: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path, TraceError):
             line = line.strip()
@@ -730,7 +767,7 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                 header = data
             else:
                 try:
-                    traces.append(trace_from_dict(data))
+                    traces.append(trace_from_dict(data, strings))
                 except TraceError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return header, traces

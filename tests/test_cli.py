@@ -389,7 +389,8 @@ def test_sweep_missing_lm_fails_before_any_work(workspace, tmp_path, capsys, mon
     monkeypatch.setattr(sim, "simulate_sentence", lambda *args: simulated.append(args))
     assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "cell 'dynamic:lm_greedy,k=1,n=1'" in err and "needs --lm" in err
+    assert "cell 'dynamic:lm_greedy,k=1,n=1'" in err
+    assert "needs an LM: run's --lm, or lm_path in a run config or a sweep's base config" in err
     assert simulated == []
 
 
@@ -497,26 +498,83 @@ def _break_header_config(header, traces):
     return "run header: bad run config"
 
 
-@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
-@pytest.mark.parametrize(
-    "tamper", [_blank_one_display, _renumber_first_step, _break_header_config]
-)
-def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
+def _score_tampered(workspace, capsys, command, tamper):
+    """Write a dynamic run's traces to t.jsonl, edit them with tamper(header, traces)
+    and score the file with command, which must exit 2 and print nothing.
+
+    Returns (the trace file, tamper's result, the command's stderr)."""
     tmp_path, _, cfg_path = workspace
     traces_path = tmp_path / "t.jsonl"
     assert main(["run", "--config", str(cfg_path), "--strategy", "dynamic",
                  "--predictor", "random", "--pred-k", "2", "--pred-n", "2",
                  "--traces-out", str(traces_path)]) == 0
     header, *traces = map(json.loads, traces_path.read_text(encoding="utf-8").splitlines())
-    problem = tamper(header, traces)
+    result = tamper(header, traces)
     traces_path.write_text(
         "".join(json.dumps(line) + "\n" for line in (header, *traces)), encoding="utf-8"
     )
     capsys.readouterr()
     assert main([command, "--traces", str(traces_path)]) == 2
     captured = capsys.readouterr()
-    assert f"{traces_path}: {problem}" in captured.err
     assert captured.out == ""
+    return traces_path, result, captured.err
+
+
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize(
+    "tamper", [_blank_one_display, _renumber_first_step, _break_header_config]
+)
+def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
+    traces_path, problem, err = _score_tampered(workspace, capsys, command, tamper)
+    assert f"{traces_path}: {problem}" in err
+
+
+def _swap_token(trace, new):
+    """Every occurrence of the trace's first output token, in every target field, becomes new."""
+    old = trace["final_output"][0]
+
+    def swap(tokens):
+        return [new if tok == old else tok for tok in tokens]
+
+    for rec in trace["records"]:
+        rec["raw_hypothesis"] = swap(rec["raw_hypothesis"])
+        rec["emitted_output"] = swap(rec["emitted_output"])
+        rec["probes"] = [swap(probe) for probe in rec["probes"]]
+    trace["final_output"] = swap(trace["final_output"])
+    trace["reference"] = swap(trace["reference"])
+
+
+# each edit of the first trace line (line 2) with the error it must raise
+MISTYPED_TRACES = [
+    ("list-token", lambda tr: _swap_token(tr, ["x"]),
+     "malformed step record: TypeError: unhashable type: 'list'"),
+    ("int-token", lambda tr: _swap_token(tr, 7), "token 7: expected a string"),
+    ("null-token", lambda tr: _swap_token(tr, None), "token None: expected a string"),
+    ("int-final-output", lambda tr: tr.update(final_output=5),
+     "malformed final_output: TypeError: 'int' object is not iterable"),
+    ("int-reference", lambda tr: tr.update(reference=7),
+     "malformed reference: TypeError: 'int' object is not iterable"),
+    ("string-final-output", lambda tr: tr.update(final_output="".join(tr["final_output"])),
+     "malformed final_output: TypeError: expected an array of strings, got str"),
+    ("string-reference", lambda tr: tr.update(reference="".join(tr["reference"])),
+     "malformed reference: TypeError: expected an array of strings, got str"),
+    ("string-sentence-id", lambda tr: tr.update(sentence_id=str(tr["sentence_id"])),
+     "sentence_id: expected int, got '0'"),
+    ("bool-sentence-id", lambda tr: tr.update(sentence_id=False),
+     "sentence_id: expected int, got False"),
+]
+
+
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize(
+    "tamper, problem", [pytest.param(*case[1:], id=case[0]) for case in MISTYPED_TRACES]
+)
+def test_mistyped_trace_field_exits_2_naming_its_line(workspace, capsys, command, tamper,
+                                                      problem):
+    traces_path, _, err = _score_tampered(
+        workspace, capsys, command, lambda header, traces: tamper(traces[0])
+    )
+    assert f"{traces_path}:2: {problem}" in err
 
 
 @pytest.mark.parametrize("command", ["metrics", "mask-hist"])

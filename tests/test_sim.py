@@ -283,7 +283,16 @@ def test_arbitrary_traces_round_trip_with_sort_keys_bytes(tmp_path_factory, trac
     path = tmp_path_factory.mktemp("roundtrip") / "traces.jsonl"
     write_traces(path, traces)
     ordered = sorted(traces, key=lambda tr: tr.sentence_id)
-    assert read_traces(path) == (None, ordered)
+    header, loaded = read_traces(path)
+    assert (header, loaded) == (None, ordered)
+    # the file's traces hold each distinct token once
+    toks = []
+    for tr in loaded:
+        toks += tr.final_output + (tr.reference or ())
+        for rec in tr.records:
+            for seq in (rec.source_prefix, rec.raw_hypothesis, rec.emitted_output, *rec.probes):
+                toks += seq
+    assert len({id(tok) for tok in toks}) == len(set(toks))
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines.pop() == ""
     assert lines == [
