@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ne-mode", choices=NE_MODES)
     p.add_argument(
         "--parallelism", type=int, default=1,
-        help="worker processes, sharded by sentence (default 1: in-process)",
+        help="processes, this one included, sharded by sentence (default 1: in-process)",
     )
     p.add_argument("--traces-out")
     p.add_argument("--metrics-out")
@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", action="store_true", help="write per-cell trace files")
     p.add_argument(
         "--parallelism", type=int, default=1,
-        help="worker processes, sharded by sentence; each runs every cell over "
-        "its sentences (default 1: in-process)",
+        help="processes, this one included, sharded by sentence; each runs every "
+        "cell over its sentences (default 1: in-process)",
     )
     p.set_defaults(func=_cmd_sweep)
 

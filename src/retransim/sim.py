@@ -4,7 +4,7 @@ Gold transcripts are revealed one token at a time; every update is
 retranslated, run through the configured emission policy, and recorded.
 A run is a pure function of its RunConfig: traces are reproducible
 byte-for-byte regardless of parallelism degree, because every sentence
-is an independent session and worker processes only shard sentences.
+is an independent session and parallel processes only shard sentences.
 Sweeps run a grid of strategies over one base config; validate_trace
 replays a recorded session through the same emission policy.
 """
@@ -12,6 +12,7 @@ replays a recorded session through the same emission policy.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -93,9 +94,10 @@ class RunConfig:
     {"kind": "toy", "lexicon_path": ..., beam_size/distortion/...}
     or {"kind": "scripted", "script_path": ..., "identity_fallback": ...};
     from_dict checks it against ToySpec or ScriptedSpec.
-    parallelism is the number of worker processes that simulate
-    sentences; it is an execution detail, no key of the serialized
-    form, and must never change results.
+    parallelism is the number of processes that simulate sentences, the
+    calling one included: each of the other parallelism - 1 is forked
+    with the heap frozen (see _simulate). It is an execution detail, no
+    key of the serialized form, and must never change results.
     """
 
     source_path: str
@@ -395,13 +397,19 @@ def _simulate(
 ) -> tuple[list[list[SessionTrace]], tuple[int, Exception] | None]:
     """Run every config over every sentence; each config's traces by sentence_id.
 
-    With jobs > 1, forked worker processes each take the shard
-    pairs[i::jobs] and run every config over it with their own copy of
-    the models, sentence by sentence as the serial run does. Fork hands
-    the models over without pickling them, and the simulation starts no
-    threads that a fork could catch holding a lock.
-    A worker that dies raises BrokenProcessPool here instead of hanging.
-    Where fork does not exist, everything runs in this process.
+    With jobs > 1 the sentences are cut into the shards pairs[i::jobs]:
+    this process runs shard 0, and each other shard runs in one forked
+    child process, which runs every config over it sentence by sentence
+    as the serial run does and sends its _run_shard result back over a
+    pipe. Fork hands the models over without pickling them, and the
+    simulation starts no threads that a fork could catch holding a lock.
+    The heap is frozen across the forks (gc.freeze), so a child's
+    collector never walks the objects it inherited. An exception that
+    escapes a child's shard is raised here with its type and message; a
+    child that dies without sending raises RuntimeError naming its exit
+    code instead of hanging. Every child is killed and reaped before
+    this returns or raises. Where fork does not exist, everything runs
+    in this process.
 
     On failure the traces are empty and the failure is (config index,
     exception) of the first error in serial order, config by config and
@@ -409,17 +417,7 @@ def _simulate(
     """
     jobs = min(jobs, len(pairs))
     if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # imported here so that serial runs do not load the process-pool
-        # modules (about 1.3 MiB of resident memory on CPython 3.11)
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            jobs,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(cfgs, pairs, models, jobs),
-        ) as pool:
-            shards = list(pool.map(_worker_shard, range(jobs)))
+        shards = _run_forked(cfgs, pairs, models, jobs)
     else:
         shards = [_run_shard(cfgs, pairs, models)]
     failures = [failure for _, failure in shards if failure is not None]
@@ -460,20 +458,56 @@ def _run_shard(cfgs, pairs, models):
     return out, None
 
 
-# (cfgs, pairs, models, jobs) of the pool this process works for; set only
-# in forked workers, by the pool's initializer, whose arguments a forked
-# worker inherits rather than unpickles
-_worker_state: tuple | None = None
+def _run_forked(cfgs, pairs, models, jobs: int) -> list:
+    """The _run_shard results of the shards pairs[i::jobs], in shard order:
+    shard 0 run here, every other one in a forked child (see _simulate)."""
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        gc.freeze()
+        try:
+            for shard in range(1, jobs):
+                receiver, sender = fork.Pipe(duplex=False)
+                child = fork.Process(
+                    target=_child_shard, args=(sender, cfgs, pairs[shard::jobs], models),
+                    daemon=True,
+                )
+                children.append((child, receiver))
+                # the child holds the only sending end, so its death ends the pipe
+                with sender:
+                    child.start()
+        finally:
+            gc.unfreeze()
+        shards = [_run_shard(cfgs, pairs[0::jobs], models)]
+        for shard, (child, receiver) in enumerate(children, start=1):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the process simulating shard {shard} of {jobs} exited "
+                    f"with code {child.exitcode} before sending its result"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            shards.append(result)
+        return shards
+    finally:
+        for child, receiver in children:
+            if child.pid is not None:
+                child.kill()
+                child.join()
+            receiver.close()
 
 
-def _init_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _worker_shard(shard: int):
-    cfgs, pairs, models, jobs = _worker_state
-    return _run_shard(cfgs, pairs[shard::jobs], models)
+def _child_shard(sender, cfgs, pairs, models) -> None:
+    """A forked child's work: send _run_shard's result, or the exception
+    that escaped it."""
+    try:
+        result = _run_shard(cfgs, pairs, models)
+    except Exception as exc:  # sent, so the parent raises it
+        result = exc
+    sender.send(result)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +598,9 @@ def run_sweep(
     simulate_sentence, which shares each sentence's translations and
     probe draws across cells; that is sound because translators and
     predictors are pure functions of their inputs. With
-    spec.base.parallelism > 1 each worker process does so over its shard
-    of sentences. With traces_dir, each cell's traces are written there
-    as <label>.jsonl.
+    spec.base.parallelism > 1 each process (see _simulate) does so over
+    its shard of sentences. With traces_dir, each cell's traces are
+    written there as <label>.jsonl.
     """
     cells = spec.cells()
     cfgs = [dataclasses.replace(spec.base, strategy=cell) for cell in cells]
@@ -673,25 +707,35 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
             raise TypeError(f"expected an array of strings, got {type(seq).__name__}")
         return toks
 
+    records = []
+    append = records.append
     try:
-        # StepRecords built positionally, in field order; absent or empty
-        # probes are (), anything else is converted and may raise: a
-        # probes value that is not an array fails in `tokens`, on its first
-        # element or, if it converts to (), on itself
-        records = tuple([
-            StepRecord(
-                rec["step_index"],
+        for rec in data["records"]:
+            step, mask, final = rec["step_index"], rec["mask_length"], rec["is_final"]
+            calls = rec.get("n_translate_calls", 1)
+            if type(step) is not int:
+                raise _mistyped(len(records), "step_index", step, int)
+            if type(mask) is not int:
+                raise _mistyped(len(records), "mask_length", mask, int)
+            if type(final) is not bool:
+                raise _mistyped(len(records), "is_final", final, bool)
+            if type(calls) is not int:
+                raise _mistyped(len(records), "n_translate_calls", calls, int)
+            # StepRecords built positionally, in field order; absent or
+            # empty probes are (), anything else is converted and may
+            # raise: a probes value that is not an array fails in `tokens`,
+            # on its first element or, if it converts to (), on itself
+            append(StepRecord(
+                step,
                 tokens(rec["source_prefix"]),
                 tokens(rec["raw_hypothesis"]),
                 tokens(rec["emitted_output"]),
-                rec["mask_length"],
-                rec["is_final"],
+                mask,
+                final,
                 () if (probes := rec.get("probes", _NO_PROBES)) == _NO_PROBES
                 else tuple(map(tokens, probes)) or tokens(probes),
-                rec.get("n_translate_calls", 1),
-            )
-            for rec in data["records"]
-        ])
+                calls,
+            ))
     except (AttributeError, KeyError, TypeError) as exc:
         raise TraceError(f"malformed step record: {type(exc).__name__}: {exc}") from exc
     ends = []
@@ -706,7 +750,15 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
     for token in islice(reversed(strings), len(strings) - known):
         if type(token) is not str:
             raise TraceError(f"token {token!r}: expected a string")
-    return SessionTrace(sentence_id, records, *ends)
+    return SessionTrace(sentence_id, tuple(records), *ends)
+
+
+def _mistyped(before: int, field: str, value, kind: type) -> TraceError:
+    """The error for a step field of the wrong type, after `before` good records;
+    a bool is no int."""
+    return TraceError(
+        f"step record {before + 1}: {field}: expected {kind.__name__}, got {value!r}"
+    )
 
 
 def write_traces(

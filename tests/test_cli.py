@@ -440,7 +440,15 @@ def test_worker_errors_match_serial_errors(workspace, tmp_path, capsys, command)
 )
 def test_dead_worker_fails_the_run_instead_of_hanging(workspace, capsys, monkeypatch):
     _, _, cfg_path = workspace
-    monkeypatch.setattr(sim, "simulate_sentence", lambda *args: os._exit(3))
+    parent, simulate_sentence = os.getpid(), sim.simulate_sentence
+
+    def die_in_child(*args):
+        # this process simulates a shard too, and must live to report
+        if os.getpid() != parent:
+            os._exit(3)
+        return simulate_sentence(*args)
+
+    monkeypatch.setattr(sim, "simulate_sentence", die_in_child)
 
     def hung(*_):
         pytest.fail("the run hung after a worker died")
@@ -453,7 +461,7 @@ def test_dead_worker_fails_the_run_instead_of_hanging(workspace, capsys, monkeyp
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 1
-    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert "exited with code 3 before sending its result" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -562,6 +570,10 @@ MISTYPED_TRACES = [
      "sentence_id: expected int, got '0'"),
     ("bool-sentence-id", lambda tr: tr.update(sentence_id=False),
      "sentence_id: expected int, got False"),
+    ("float-mask-length", lambda tr: tr["records"][0].update(mask_length=0.0),
+     "step record 1: mask_length: expected int, got 0.0"),
+    ("int-final-flag", lambda tr: tr["records"][-1].update(is_final=1),
+     "step record 5: is_final: expected bool, got 1"),
 ]
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -328,6 +331,34 @@ def test_trace_from_dict_reads_probes(probes, expected):
     else:
         with pytest.raises(TraceError, match=f"^malformed step record: {expected}$"):
             trace_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("step_index", 2.0, "int"),
+        ("step_index", True, "int"),
+        ("mask_length", 1.0, "int"),
+        ("mask_length", False, "int"),
+        ("mask_length", "0", "int"),
+        ("is_final", 1, "bool"),
+        ("is_final", None, "bool"),
+        ("n_translate_calls", 1.0, "int"),
+        ("n_translate_calls", True, "int"),
+    ],
+)
+def test_trace_from_dict_type_checks_step_fields(field, value, kind):
+    recs = [
+        {"step_index": i, "source_prefix": ["a", "b"][:i], "raw_hypothesis": ["x"],
+         "emitted_output": ["x"], "mask_length": 0, "is_final": i == 2}
+        for i in (1, 2)
+    ]
+    data = {"schema_version": 1, "sentence_id": 0, "final_output": ["x"], "records": recs}
+    assert trace_from_dict(data).records[1].n_translate_calls == 1  # absent reads as 1
+    recs[1][field] = value
+    with pytest.raises(TraceError) as info:
+        trace_from_dict(data)
+    assert str(info.value) == f"step record 2: {field}: expected {kind}, got {value!r}"
 
 
 def test_schema_version_mismatch(tmp_path):
@@ -716,7 +747,7 @@ def core_cases(draw):
 def test_core_matches_config_by_config_oracle(case):
     cfgs, pairs, models = case
     want = _reference_simulate(cfgs, pairs, models)
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         traces, failure = sim._simulate(cfgs, pairs, models, jobs)
         if failure is None:
             assert traces == want, jobs
@@ -812,6 +843,61 @@ def test_first_error_in_config_then_sentence_order():
         traces, failure = sim._simulate([cfg, probing], pairs, models, jobs)
         assert traces == [] and failure[0] == 0, jobs
         assert str(failure[1]) == "sentence 1, step 1: no script entry for prefix 'b'", jobs
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="children need fork"
+)
+
+
+def _three_shards():
+    cfg, models = _scripted_session(StrategyConfig("none"), {"a": seq("p"), "a b": seq("p q")})
+    return [cfg], pairs_from(["a b", "a", "a b"], ["p q", "p", "p q"]), models
+
+
+@needs_fork
+def test_exception_escaping_a_childs_shard_reaches_the_parent(monkeypatch):
+    parent, run_shard = os.getpid(), sim._run_shard
+
+    def fail_in_children(cfgs, pairs, models):
+        if os.getpid() != parent:
+            raise LookupError(f"a shard of {len(pairs)} sentence broke")
+        return run_shard(cfgs, pairs, models)
+
+    monkeypatch.setattr(sim, "_run_shard", fail_in_children)
+    with pytest.raises(LookupError) as info:
+        sim._simulate(*_three_shards(), 3)
+    assert type(info.value) is LookupError
+    assert str(info.value) == "a shard of 1 sentence broke"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_failure_in_the_parents_shard_leaves_no_child_behind(monkeypatch, tmp_path):
+    parent, started = os.getpid(), tmp_path / "started"
+    started.mkdir()
+
+    def hang_in_children_fail_here(cfgs, pairs, models):
+        if os.getpid() != parent:
+            (started / str(os.getpid())).touch()
+            time.sleep(60)  # killed long before
+        deadline = time.monotonic() + 30
+        while len(list(started.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ZeroDivisionError("the parent's shard broke")
+
+    monkeypatch.setattr(sim, "_run_shard", hang_in_children_fail_here)
+    began = time.monotonic()
+    with pytest.raises(ZeroDivisionError, match="^the parent's shard broke$"):
+        sim._simulate(*_three_shards(), 3)
+    assert time.monotonic() - began < 30
+    pids = [int(path.name) for path in started.iterdir()]
+    assert len(pids) == 2
+    for pid in pids:
+        # reaped: neither running nor a zombie, so no longer this process's child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
