@@ -48,8 +48,10 @@ from .translator import TranslatorError
 
 # every other input error (config, corpus, lexicon, trace, metrics, LM file) is a ValueError
 _INPUT_ERRORS = (
+    FileExistsError,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
     PermissionError,
     PredictorError,
     TranslatorError,
@@ -152,8 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg, traces = read_valid_traces(args.traces)
-    label = args.label or (cfg.strategy.label if cfg else "unknown")
-    point = aggregate(label, traces, ne_mode=cfg.ne_mode if cfg else "mean")
+    point = aggregate(args.label or cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
     if args.out:
         write_points_csv(args.out, [point])
     print(TradeoffPoint.CSV_HEADER)

@@ -618,9 +618,10 @@ def run_sweep(
             point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
         except MetricsError as exc:
             raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-        if traces_dir is not None:
-            name = _safe_filename(cell.label) + ".jsonl"
-            _atomic_write_traces(traces_dir / name, cell_traces, cfg)
+        if traces_dir is not None:  # <label>.jsonl appears whole or not at all
+            tmp = traces_dir / (_safe_filename(cell.label) + ".jsonl.tmp")
+            write_traces(tmp, cell_traces, cfg)
+            os.replace(tmp, tmp.with_suffix(""))
         results.append((cell, point, cell_traces))
     results.sort(key=lambda item: item[0].label)
     return results
@@ -628,12 +629,6 @@ def run_sweep(
 
 def _safe_filename(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._=,+-]", "_", label)
-
-
-def _atomic_write_traces(path: Path, traces, cfg) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_traces(tmp, traces, cfg)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -761,31 +756,24 @@ def _mistyped(before: int, field: str, value, kind: type) -> TraceError:
     )
 
 
-def write_traces(
-    path: str | Path, traces: list[SessionTrace], config: RunConfig | None = None
-) -> None:
-    """Write one JSON line per trace, preceded by a provenance header."""
+def write_traces(path: str | Path, traces: list[SessionTrace], config: RunConfig) -> None:
+    """Write the run header line, then one JSON line per trace in sentence_id order."""
+    header = {"kind": "run_header", "schema_version": TRACE_SCHEMA_VERSION,
+              "config": config.to_dict(), "config_hash": config_hash(config)}
     with open(path, "w", encoding="utf-8") as fh:
-        if config is not None:
-            header = {
-                "kind": "run_header",
-                "schema_version": TRACE_SCHEMA_VERSION,
-                "config": config.to_dict(),
-                "config_hash": config_hash(config),
-            }
-            fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
         encode = _TRACE_ENCODER.encode
         for trace in sorted(traces, key=lambda tr: tr.sentence_id):
             fh.write(encode(trace_to_dict(trace)) + "\n")
 
 
-def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
-    """Read a trace file back; returns (header or None, traces).
+def read_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
+    """Read a trace file back; returns (its run header's checked config, traces).
 
-    The traces share one string per distinct token (see trace_from_dict).
+    The first non-blank line must be the run header, and no other line may
+    be one. The traces share one string per distinct token (see trace_from_dict).
     """
-    header: dict | None = None
+    cfg: RunConfig | None = None
     traces: list[SessionTrace] = []
     strings: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -801,51 +789,53 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[SessionTrace]]:
                 raise TraceError(
                     f"{path}:{lineno}: expected a JSON object, got {type(data).__name__}"
                 )
-            kind = data.get("kind")
-            if kind == "run_header":
-                if header is not None:
-                    raise TraceError(f"{path}:{lineno}: second run header")
-                if traces:
-                    raise TraceError(
-                        f"{path}:{lineno}: run header after the first trace; "
-                        "it must be the first line"
-                    )
-                version = data.get("schema_version")
-                if version != TRACE_SCHEMA_VERSION:
-                    raise SchemaVersionMismatch(
-                        f"{path}:{lineno}: schema version {version}, "
-                        f"expected {TRACE_SCHEMA_VERSION}"
-                    )
-                header = data
+            if cfg is None:
+                cfg = _header_config(path, lineno, data)
+            elif data.get("kind") == "run_header":
+                raise TraceError(f"{path}:{lineno}: second run header")
             else:
                 try:
                     traces.append(trace_from_dict(data, strings))
                 except TraceError as exc:
                     raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return header, traces
+    if cfg is None:
+        raise TraceError(f"{path}: no run header")
+    return cfg, traces
 
 
-def read_valid_traces(path: str | Path) -> tuple[RunConfig | None, list[SessionTrace]]:
-    """Read a trace file and validate every trace before anything scores it.
+def _header_config(path: str | Path, lineno: int, data: dict) -> RunConfig:
+    """The config of a trace file's run header; its version must match, and
+    its config must parse and hash to its config_hash."""
+    if data.get("kind") != "run_header":
+        raise TraceError(f"{path}:{lineno}: expected a run header, got {data.get('kind')!r}")
+    version = data.get("schema_version")
+    if version != TRACE_SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"{path}:{lineno}: schema version {version}, expected {TRACE_SCHEMA_VERSION}"
+        )
+    cfg = RunConfig.from_dict(data.get("config"), where=f"{path}: run header")
+    if data.get("config_hash") != config_hash(cfg):
+        raise TraceError(
+            f"{path}:{lineno}: run header config_hash {data.get('config_hash')!r} "
+            "does not match its config"
+        )
+    return cfg
 
-    A run header's config must hash to its config_hash, and each trace's
-    emissions are replayed under the header's strategy; without a header
-    only the structural checks run.
+
+def read_valid_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
+    """Read a trace file (read_traces checks its header) and validate every
+    trace before anything scores it: sentence ids ascend, as written, and
+    each trace's emissions are replayed under the header's strategy.
     """
-    header, traces = read_traces(path)
+    cfg, traces = read_traces(path)
     if not traces:
         raise TraceError(f"{path}: no traces")
-    cfg = None
-    if header is not None:
-        cfg = RunConfig.from_dict(header.get("config"), where=f"{path}: run header")
-        if header.get("config_hash") != config_hash(cfg):
-            raise TraceError(
-                f"{path}:1: run header config_hash {header.get('config_hash')!r} "
-                "does not match its config"
-            )
+    for before, trace in zip(traces, traces[1:]):
+        if trace.sentence_id <= before.sentence_id:
+            raise TraceError(f"{path}: sentence {trace.sentence_id} after {before.sentence_id}")
     for trace in traces:
         try:
-            validate_trace(trace, cfg.strategy if cfg else None)
+            validate_trace(trace, cfg.strategy)
         except TraceInvariantError as exc:
             raise TraceInvariantError(f"{path}: {exc}") from exc
     return cfg, traces

@@ -34,6 +34,8 @@ TOY_PARAMS = {
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+# the distinct words _pseudo_word can make: two or three syllables
+_WORDS = (len(_CONSONANTS) * len(_VOWELS)) ** 2 * (1 + len(_CONSONANTS) * len(_VOWELS))
 
 # primary-translation weights: low values flip under moderate noise,
 # high values only under strong noise
@@ -68,6 +70,8 @@ def generate(
 
     if vocab < 1 or sentences < 1:
         raise ValueError("vocab and sentences must be >= 1")
+    if 3 * vocab > _WORDS:  # a source word, its translation and maybe a variant
+        raise ValueError(f"vocab must be <= {_WORDS // 3}, got {vocab}")
     if not 2 <= min_len <= max_len:
         raise ValueError("need 2 <= min_len <= max_len")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -111,9 +115,9 @@ def write_synthetic(
     seed: int = SEED,
 ) -> dict[str, str]:
     """Write synthetic.src / synthetic.ref / synthetic.lexicon; return paths."""
+    src_lines, ref_lines, lexicon = generate(sentences, vocab, min_len, max_len, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    src_lines, ref_lines, lexicon = generate(sentences, vocab, min_len, max_len, seed)
 
     src_path = out / "synthetic.src"
     ref_path = out / "synthetic.ref"

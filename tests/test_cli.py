@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -7,8 +9,10 @@ import signal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from retransim import sim
+from retransim import sim, synthetic
 from retransim.cli import main
 from retransim.metrics import TradeoffPoint, mask_histogram, pareto_frontier
 from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
@@ -496,6 +500,11 @@ def _blank_one_display(header, traces):
     raise AssertionError("no displayed non-final step")
 
 
+def _swap_first_traces(header, traces):
+    traces[0], traces[1] = traces[1], traces[0]
+    return f"sentence {traces[1]['sentence_id']} after {traces[0]['sentence_id']}"
+
+
 def _renumber_first_step(header, traces):
     traces[0]["records"][0]["step_index"] = 7
     return f"sentence {traces[0]['sentence_id']}, step 1: step_index 7"
@@ -530,7 +539,8 @@ def _score_tampered(workspace, capsys, command, tamper):
 
 @pytest.mark.parametrize("command", ["metrics", "mask-hist"])
 @pytest.mark.parametrize(
-    "tamper", [_blank_one_display, _renumber_first_step, _break_header_config]
+    "tamper",
+    [_blank_one_display, _swap_first_traces, _renumber_first_step, _break_header_config],
 )
 def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
     traces_path, problem, err = _score_tampered(workspace, capsys, command, tamper)
@@ -626,13 +636,133 @@ def test_misplaced_run_header_exits_2(workspace, capsys, command, placement):
     elif placement == "repeated":
         lines, problem = [header, other, *traces], ":2: second run header"
     else:
-        lines, problem = [traces[0], header, *traces[1:]], ":2: run header after the first trace"
+        lines, problem = [traces[0], header, *traces[1:]], ":1: expected a run header"
     paths["mask_k"].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     capsys.readouterr()
     assert main([command, "--traces", str(paths["mask_k"])]) == 2
     captured = capsys.readouterr()
     assert f"{paths['mask_k']}{problem}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["metrics", "mask-hist"])
+@pytest.mark.parametrize("unmask", [False, True], ids=["deleted", "unmasked"])
+def test_header_less_file_exits_2_naming_line_1(workspace, capsys, command, unmask):
+    """A mask_k run's file with line 1 deleted. With unmask, every step is
+    also rewritten to show its hypothesis unmasked: that passes every
+    structural check, and only the header's strategy tells the replay otherwise."""
+    tmp_path, _, cfg_path = workspace
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--strategy", "mask_k", "--k-mask", "2",
+                 "--traces-out", str(traces_path)]) == 0
+    _, *traces = map(json.loads, traces_path.read_text(encoding="utf-8").splitlines())
+    if unmask:
+        for trace in traces:
+            for rec in trace["records"]:
+                rec.update(emitted_output=rec["raw_hypothesis"], mask_length=0)
+    traces_path.write_text("".join(json.dumps(tr) + "\n" for tr in traces), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--traces", str(traces_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {traces_path}:1: expected a run header, got 'trace'" in captured.err
+    assert captured.out == ""
+
+
+SCORERS = ("metrics", "mask-hist")
+
+
+@pytest.fixture(scope="module")
+def dynamic_run(tmp_path_factory):
+    """A small dynamic run's trace file, and each command's exit code and stdout on it."""
+    tmp_path = tmp_path_factory.mktemp("dynamic_run")
+    src, ref = write_corpus(tmp_path, ["a b c", "c d a b", "b a"], ["x y z", "z w x y", "y x"])
+    cfg = RunConfig(
+        source_path=str(src),
+        reference_path=str(ref),
+        translator={"kind": "toy", "lexicon_path": str(_write_lexicon(tmp_path, NOISY_LEXICON)),
+                    "beam_size": 2, "distortion": 0.5, "instability": 0.8, "seed": 13},
+        strategy=StrategyConfig("none"),
+    )
+    cfg_path = tmp_path / "run.json"
+    save_run_config(cfg, cfg_path)
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--strategy", "dynamic",
+                 "--predictor", "random", "--pred-k", "2", "--pred-n", "2",
+                 "--traces-out", str(traces_path)]) == 0
+    return traces_path, {command: _score(command, traces_path) for command in SCORERS}
+
+
+def _score(command, path) -> tuple[int, str]:
+    """(exit code, stdout) of a scoring command, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--traces", str(path)])
+    return code, out.getvalue()
+
+
+def _value_paths(value, prefix=()):
+    """The key path of value and of every value nested in it."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _value_paths(item, prefix + (key,))
+
+
+# any JSON value, and the tokens a toy run writes, so that some mutations
+# pass the type checks and reach the replay
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(["x", "x2", "y", "z", "z2", "w", "a", "b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def one_value_replaced(draw, lines):
+    """(line number, key path, new line): one JSON value of one line replaced."""
+    lineno = draw(st.integers(1, len(lines)))
+    data = json.loads(lines[lineno - 1])
+    path = draw(st.sampled_from(list(_value_paths(data))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return lineno, path, json.dumps(value)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return lineno, path, json.dumps(data)
+
+
+def _without_bleu(csv_text: str) -> list[tuple[str, str]]:
+    """metrics' CSV rows without their BLEU column, the last but one."""
+    return [(head, tail) for head, _, tail in (row.rsplit(",", 2) for row in csv_text.splitlines())]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_one_replaced_value_exits_2_or_scores_as_before(dynamic_run, data):
+    """metrics and mask-hist reject a file with one JSON value replaced, or
+    print what they print for the original; they never fail internally.
+
+    A trace's reference is scored, not checked, so a value replaced inside
+    one may change metrics' BLEU column, and nothing else."""
+    traces_path, scored = dynamic_run
+    lines = traces_path.read_text(encoding="utf-8").splitlines()
+    lineno, path, line = data.draw(one_value_replaced(lines))
+    lines[lineno - 1] = line
+    mutated = traces_path.with_name("mutated.jsonl")
+    mutated.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for command in SCORERS:
+        code, out = _score(command, mutated)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+        elif command == "metrics" and path[:1] == ("reference",):
+            assert _without_bleu(out) == _without_bleu(scored[command][1])
+        else:
+            assert (code, out) == scored[command]
 
 
 def test_pareto_frontier_logic():
@@ -676,13 +806,13 @@ def test_mask_hist_fixed_mask_concentrates(workspace, tmp_path, capsys):
     assert hist.get(2, 0) == long_enough
 
 
-def test_mask_hist_schema_mismatch_exits_2(tmp_path, capsys):
+def test_mask_hist_schema_mismatch_exits_2(workspace, capsys):
+    tmp_path, cfg, _ = workspace
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(
-        json.dumps({"kind": "trace", "schema_version": 99, "sentence_id": 0,
-                     "final_output": [], "records": []}) + "\n",
-        encoding="utf-8",
-    )
+    sim.write_traces(bad, [], cfg)
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "trace", "schema_version": 99, "sentence_id": 0,
+                             "final_output": [], "records": []}) + "\n")
     assert main(["mask-hist", "--traces", str(bad)]) == 2
     assert "schema version" in capsys.readouterr().err
 
@@ -701,6 +831,41 @@ def test_make_synthetic_deterministic(tmp_path, capsys):
     assert all(3 <= len(line.split()) <= 20 for line in src_lines)
     # the emitted run config is directly usable
     assert main(["run", "--config", str(d1 / "run.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["make-synthetic", "--out-dir", "afile"], "afile"),
+        (["make-synthetic", "--out-dir", "afile/sub"], "afile/sub"),
+        (["run", "--config", "run.json", "--traces-out", "afile/t.jsonl"], "afile/t.jsonl"),
+        (["run", "--config", "run.json", "--metrics-out", "afile/m.csv"], "afile/m.csv"),
+        (["sweep", "--spec", "sweep.json", "--out-dir", "afile"], "afile"),
+    ],
+    ids=["synthetic-dir", "synthetic-subdir", "traces-out", "metrics-out", "sweep-dir"],
+)
+def test_output_path_through_a_regular_file_exits_2(workspace, monkeypatch, capsys, args,
+                                                    named):
+    tmp_path, cfg, _ = workspace
+    _write_sweep_spec(tmp_path, cfg, axes={"k_mask": [1]})
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"'{named}'" in err
+    assert "internal error" not in err
+
+
+def test_make_synthetic_vocab_beyond_the_pseudo_words_exits_2(tmp_path, monkeypatch, capsys):
+    """Each vocabulary word takes up to 3 of the 70**2 + 70**3 pseudo-words;
+    a vocabulary that could need more is refused before any is drawn."""
+    monkeypatch.setattr(synthetic, "_pseudo_word", lambda *_: pytest.fail("word drawn"))
+    out_dir = tmp_path / "s"
+    assert main(["make-synthetic", "--out-dir", str(out_dir), "--vocab", "115967",
+                 "--sentences", "1"]) == 2
+    assert "vocab must be <= 115966, got 115967" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_unknown_strategy_flag_exits_2(workspace):

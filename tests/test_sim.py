@@ -216,10 +216,8 @@ def test_trace_round_trip_and_replay_equality(tmp_path):
     traces, point = run_corpus(cfg)
     path = tmp_path / "traces.jsonl"
     write_traces(path, traces, cfg)
-    header, loaded = read_traces(path)
-    assert header is not None
-    assert header["config_hash"] == config_hash(cfg)
-    assert loaded == traces
+    loaded_cfg, loaded = read_traces(path)  # read_traces checked the header's hash
+    assert (loaded_cfg, loaded) == (cfg, traces)
     replayed = aggregate(cfg.strategy.label, loaded, ne_mode=cfg.ne_mode)
     assert replayed == point  # bit-identical floats
 
@@ -280,14 +278,20 @@ def _list_based_dict(trace: SessionTrace) -> dict:
     }
 
 
+# a header for files of arbitrary traces; reading one opens none of its paths
+ROUND_TRIP_CONFIG = RunConfig(
+    "in.src", "in.ref", {"kind": "scripted", "script_path": "in.tsv"}, StrategyConfig("none")
+)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(arbitrary_traces(), max_size=4))
 def test_arbitrary_traces_round_trip_with_sort_keys_bytes(tmp_path_factory, traces):
     path = tmp_path_factory.mktemp("roundtrip") / "traces.jsonl"
-    write_traces(path, traces)
+    write_traces(path, traces, ROUND_TRIP_CONFIG)
     ordered = sorted(traces, key=lambda tr: tr.sentence_id)
-    header, loaded = read_traces(path)
-    assert (header, loaded) == (None, ordered)
+    cfg, loaded = read_traces(path)
+    assert (cfg, loaded) == (ROUND_TRIP_CONFIG, ordered)
     # the file's traces hold each distinct token once
     toks = []
     for tr in loaded:
@@ -298,6 +302,7 @@ def test_arbitrary_traces_round_trip_with_sort_keys_bytes(tmp_path_factory, trac
     assert len({id(tok) for tok in toks}) == len(set(toks))
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines.pop() == ""
+    assert json.loads(lines.pop(0))["config_hash"] == config_hash(ROUND_TRIP_CONFIG)
     assert lines == [
         json.dumps(_list_based_dict(tr), sort_keys=True, ensure_ascii=False) for tr in ordered
     ]
@@ -364,12 +369,16 @@ def test_trace_from_dict_type_checks_step_fields(field, value, kind):
 def test_schema_version_mismatch(tmp_path):
     cfg = _noisy_corpus_config(tmp_path, StrategyConfig("none"))
     traces, _ = run_corpus(cfg)
-    payload = trace_to_dict(traces[0])
-    payload["schema_version"] = 999
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaVersionMismatch):
-        read_traces(path)
+    # the header's version, then a trace's
+    for line in (1, 2):
+        write_traces(path, traces[:1], cfg)
+        lines = [json.loads(text) for text in path.read_text(encoding="utf-8").splitlines()]
+        lines[line - 1]["schema_version"] = 999
+        path.write_text("".join(json.dumps(data) + "\n" for data in lines), encoding="utf-8")
+        with pytest.raises(SchemaVersionMismatch) as info:
+            read_traces(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
 
 
 def test_validate_trace_catches_corruption(tmp_path):
