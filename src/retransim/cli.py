@@ -120,6 +120,9 @@ def _overlay(data: dict, **flags) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_run_config(args)
+    for out in (args.traces_out, args.metrics_out):  # refused before the run, not after it
+        if out and not Path(out).parent.is_dir():
+            raise NotADirectoryError(f"{out!r}: {str(Path(out).parent)!r} is not a directory")
     traces, point = run_corpus(cfg)
     if args.traces_out:
         write_traces(args.traces_out, traces, cfg)
@@ -136,10 +139,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec, parallelism=args.parallelism)
-    results = run_sweep(spec, traces_dir=args.out_dir if args.traces else None)
-    points = [point for _, point, _ in results]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_sweep(spec, traces_dir=out_dir if args.traces else None)
+    points = [point for _, point, _ in results]
     csv_path = out_dir / "sweep.csv"
     write_points_csv(csv_path, points)
     print(f"wrote {len(points)} cells to {csv_path}", file=sys.stderr)

@@ -6,7 +6,7 @@ A run is a pure function of its RunConfig: traces are reproducible
 byte-for-byte regardless of parallelism degree, because every sentence
 is an independent session and parallel processes only shard sentences.
 Sweeps run a grid of strategies over one base config; validate_trace
-replays a recorded session through the same emission policy.
+rebuilds a recorded session with the step rule the simulator uses.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import gc
 import hashlib
 import json
 import multiprocessing
+import operator
 import os
 import re
 from collections import Counter
@@ -197,6 +198,20 @@ def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
     return strategy.kind == "dynamic" and not is_final
 
 
+def _step_record(
+    strategy: StrategyConfig, step: int, prefix: TokenSeq, hypothesis: TokenSeq,
+    probes: tuple[TokenSeq, ...], previous: TokenSeq, is_final: bool, full: TokenSeq | None,
+) -> tuple:
+    """A step's StepRecord fields, in order: the one rule by which a record
+    follows from its translations, run by run_sentence and validate_trace.
+    previous is the step before's display, full the oracle's full translation."""
+    output = emit(strategy, hypothesis, probes, previous, is_final, full)
+    return (step, prefix, hypothesis, output,
+            erased_between(hypothesis, output),  # mask_length
+            is_final, probes,
+            1 + len(probes))  # n_translate_calls
+
+
 def run_sentence(
     cfg: RunConfig, pair: SentencePair, models: Models, memo: _SentenceMemo | None = None
 ) -> SessionTrace:
@@ -248,21 +263,11 @@ def run_sentence(
             raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
 
         # emission stays outside the try: its bugs are not input errors
-        output = emit(strat, hyp, probe_outputs, previous, is_final, full_translation)
-        # positional: keywords cost a third more per record
-        records.append(
-            StepRecord(
-                i,  # step_index
-                prefix,  # source_prefix
-                hyp,  # raw_hypothesis
-                output,  # emitted_output
-                erased_between(hyp, output),  # mask_length
-                is_final,
-                probe_outputs,  # probes
-                1 + len(probe_outputs),  # n_translate_calls
-            )
-        )
-        previous = output
+        record = StepRecord(*_step_record(
+            strat, i, prefix, hyp, probe_outputs, previous, is_final, full_translation
+        ))
+        records.append(record)
+        previous = record.emitted_output
 
     return SessionTrace(
         sentence_id=pair.sentence_id,
@@ -599,19 +604,20 @@ def run_sweep(
     probe draws across cells; that is sound because translators and
     predictors are pure functions of their inputs. With
     spec.base.parallelism > 1 each process (see _simulate) does so over
-    its shard of sentences. With traces_dir, each cell's traces are
-    written there as <label>.jsonl.
+    its shard of sentences. With traces_dir, which is made before any
+    sentence is simulated, each cell's traces are written there as
+    <label>.jsonl.
     """
     cells = spec.cells()
     cfgs = [dataclasses.replace(spec.base, strategy=cell) for cell in cells]
+    if traces_dir is not None:
+        traces_dir = Path(traces_dir)
+        traces_dir.mkdir(parents=True, exist_ok=True)
     traces, failure = _run_configs(spec.base, cfgs)
     if failure is not None:
         index, exc = failure
         raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
 
-    if traces_dir is not None:
-        traces_dir = Path(traces_dir)
-        traces_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for cell, cfg, cell_traces in zip(cells, cfgs, traces):
         try:
@@ -825,7 +831,7 @@ def _header_config(path: str | Path, lineno: int, data: dict) -> RunConfig:
 def read_valid_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
     """Read a trace file (read_traces checks its header) and validate every
     trace before anything scores it: sentence ids ascend, as written, and
-    each trace's emissions are replayed under the header's strategy.
+    each trace is rebuilt under the header's strategy (see validate_trace).
     """
     cfg, traces = read_traces(path)
     if not traces:
@@ -841,20 +847,19 @@ def read_valid_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
     return cfg, traces
 
 
-def _step_error(trace: SessionTrace, pos: int, problem: str) -> TraceInvariantError:
-    """The error for a bad step; its location is formatted only on failure."""
-    return TraceInvariantError(f"sentence {trace.sentence_id}, step {pos}: {problem}")
+# a StepRecord's field names, and its values in that order, as _step_record returns them
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(StepRecord))
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
 
 
-def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) -> None:
-    """Check the session invariants; raises TraceInvariantError on violation.
+def validate_trace(trace: SessionTrace, strategy: StrategyConfig) -> None:
+    """Rebuild each step's record with the simulator's step rule; raises
+    TraceInvariantError naming the first recorded value that differs.
 
-    Every step must record one translate call plus one per probe. With a
-    strategy, steps whose policy takes no probes must record none, and
-    every step's emission is replayed from the recorded hypothesis,
-    probes and previous display; the recorded output must equal the
-    replay exactly. The oracle's full-sentence translation is the last
-    step's hypothesis.
+    A step is rebuilt from its recorded hypothesis, its recorded probes
+    where the policy takes probes (none elsewhere) and the display
+    recorded the step before; the oracle's full-sentence translation is
+    the last step's hypothesis. final_output must be the last display.
     """
     if not trace.records:
         raise TraceInvariantError(f"sentence {trace.sentence_id}: no records")
@@ -866,46 +871,34 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig | None = None) 
         )
     full = trace.records[-1].raw_hypothesis
     previous: TokenSeq = ()
+    # whether the policy takes probes on a non-final step, and on the final one
+    takes_probes = (_takes_probes(strategy, False), _takes_probes(strategy, True))
     for pos, rec in enumerate(trace.records, start=1):
-        if rec.step_index != pos:
-            raise _step_error(trace, pos, f"step_index {rec.step_index}")
-        if rec.source_prefix != source[:pos]:
-            raise _step_error(trace, pos, f"source_prefix is not source[:{pos}]")
-        if rec.is_final != (pos == len(source)):
-            raise _step_error(trace, pos, "bad is_final flag")
-        expected_mask = erased_between(rec.raw_hypothesis, rec.emitted_output)
-        if rec.mask_length != expected_mask:
-            raise _step_error(
-                trace, pos, f"mask_length {rec.mask_length}, expected {expected_mask}"
+        is_final = pos == len(source)
+        probes = rec.probes if takes_probes[is_final] else ()
+        try:
+            rebuilt = _step_record(
+                strategy, pos, source[:pos], rec.raw_hypothesis, probes, previous, is_final, full
             )
-        if rec.n_translate_calls != 1 + len(rec.probes):
-            raise _step_error(
-                trace,
-                pos,
-                f"n_translate_calls {rec.n_translate_calls} "
-                f"for {len(rec.probes)} probes, expected {1 + len(rec.probes)}",
+        except ValueError as exc:  # a dynamic non-final step with no probes
+            raise TraceInvariantError(f"sentence {trace.sentence_id}, step {pos}: {exc}") from exc
+        recorded = _record_values(rec)
+        if recorded != rebuilt:
+            field, got, want = next(
+                diff for diff in zip(_RECORD_FIELDS, recorded, rebuilt) if diff[1] != diff[2]
             )
-        if strategy is not None:
-            if rec.probes and not _takes_probes(strategy, rec.is_final):
-                raise _step_error(
-                    trace, pos, f"{len(rec.probes)} probes on a step that takes none"
-                )
-            try:
-                replayed = emit(
-                    strategy, rec.raw_hypothesis, rec.probes, previous, rec.is_final, full
-                )
-            except ValueError as exc:
-                raise _step_error(trace, pos, str(exc)) from exc
-            if rec.emitted_output != replayed:
-                raise _step_error(
-                    trace,
-                    pos,
-                    f"emitted {list(rec.emitted_output)}, replayed {list(replayed)}",
-                )
+            raise TraceInvariantError(
+                f"sentence {trace.sentence_id}, step {pos}: {field} {_shown(got)}, "
+                f"expected {_shown(want)}"
+            )
         previous = rec.emitted_output
-    last = trace.records[-1]
-    if trace.final_output != last.emitted_output or last.emitted_output != last.raw_hypothesis:
+    if trace.final_output != previous:
         raise TraceInvariantError(
-            f"sentence {trace.sentence_id}: final output must equal the last "
-            "hypothesis, unmasked"
+            f"sentence {trace.sentence_id}: final_output {_shown(trace.final_output)}, "
+            f"expected {_shown(previous)}"
         )
+
+
+def _shown(value):
+    """A record value as errors show it: token sequences as lists."""
+    return [_shown(item) for item in value] if isinstance(value, tuple) else value

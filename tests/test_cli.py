@@ -493,10 +493,11 @@ def test_metrics_malformed_trace_line_exits_2(workspace, tmp_path, capsys, bad_l
 def _blank_one_display(header, traces):
     for trace in traces:
         for rec in trace["records"][:-1]:
-            if rec["emitted_output"]:
+            if displayed := rec["emitted_output"]:
                 rec["mask_length"] = len(rec["raw_hypothesis"])
                 rec["emitted_output"] = []
-                return f"sentence {trace['sentence_id']}, step {rec['step_index']}: emitted []"
+                return (f"sentence {trace['sentence_id']}, step {rec['step_index']}: "
+                        f"emitted_output [], expected {displayed}")
     raise AssertionError("no displayed non-final step")
 
 
@@ -850,6 +851,8 @@ def test_output_path_through_a_regular_file_exits_2(workspace, monkeypatch, caps
     _write_sweep_spec(tmp_path, cfg, axes={"k_mask": [1]})
     (tmp_path / "afile").write_text("", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    # refused before any sentence is simulated
+    monkeypatch.setattr(sim, "simulate_sentence", None)
     capsys.readouterr()
     assert main(args) == 2
     err = capsys.readouterr().err

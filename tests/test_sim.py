@@ -394,9 +394,9 @@ def test_validate_trace_catches_corruption(tmp_path):
             cfg.strategy,
         )
     with pytest.raises(TraceInvariantError):
-        validate_trace(dataclasses.replace(good, records=good.records[:-1]))
+        validate_trace(dataclasses.replace(good, records=good.records[:-1]), cfg.strategy)
     with pytest.raises(TraceInvariantError):
-        validate_trace(dataclasses.replace(good, final_output=("wrong",)))
+        validate_trace(dataclasses.replace(good, final_output=("wrong",)), cfg.strategy)
     # probes on a policy that takes none, with a made-up call count, and
     # with a call count that matches them
     def first_step(**changes):
@@ -406,12 +406,9 @@ def test_validate_trace_catches_corruption(tmp_path):
     made_up = (("made", "up"),)
     bad_calls = first_step(probes=made_up, n_translate_calls=99)
     bad_probes = first_step(probes=made_up, n_translate_calls=2)
-    for tampered, strategy in (
-        (bad_calls, None), (bad_calls, cfg.strategy), (bad_probes, cfg.strategy)
-    ):
+    for tampered in (bad_calls, bad_probes):
         with pytest.raises(TraceInvariantError, match=f"sentence {good.sentence_id}, step 1:"):
-            validate_trace(tampered, strategy)
-    validate_trace(bad_probes)  # structurally sound: only the policy takes no probes
+            validate_trace(tampered, cfg.strategy)
 
     dynamic = StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2))
     traces, _ = run_corpus(_noisy_corpus_config(tmp_path, dynamic))
@@ -427,7 +424,6 @@ def test_validate_trace_catches_corruption(tmp_path):
     for changed in (blanked, unprobed):
         records = trace.records[:pos] + (changed,) + trace.records[pos + 1:]
         tampered = dataclasses.replace(trace, records=records)
-        validate_trace(tampered)  # structurally sound
         with pytest.raises(
             TraceInvariantError, match=f"sentence {trace.sentence_id}, step {pos + 1}:"
         ):
@@ -467,24 +463,59 @@ def emitted_traces(draw):
     return strategy, SessionTrace(0, tuple(records), previous)
 
 
+# each derived value a tamper may change: where it sits and its values. A
+# recorded hypothesis and a dynamic step's probes are inputs to the
+# rebuild, not derived values, so they are not among them
+NUMBERS = st.integers(-2, 9)
+DERIVED_VALUES = {
+    "step_index": ("any step", NUMBERS),
+    # the last record's source_prefix is the source the others must prefix
+    "source_prefix": ("non-last step", TOKENS),
+    "emitted_output": ("any step", TOKENS),
+    "mask_length": ("any step", NUMBERS),
+    "is_final": ("any step", st.booleans()),
+    "n_translate_calls": ("any step", NUMBERS),
+    "probes": ("step without probes", st.lists(TOKENS, min_size=1, max_size=3).map(tuple)),
+    "final_output": ("trace", TOKENS),
+}
+
+
 @settings(deadline=None)  # a loaded host must not fail a correct example
-@given(emitted_traces(), st.data())
-def test_replay_accepts_emitted_traces_and_rejects_any_changed_output(case, data):
+@given(emitted_traces(), st.sampled_from(sorted(DERIVED_VALUES)), st.data())
+def test_replay_accepts_emitted_traces_and_rejects_any_changed_output(case, field, data):
     strategy, trace = case
     validate_trace(trace, strategy)
-    assume(len(trace.records) > 1)
-    pos = data.draw(st.integers(0, len(trace.records) - 2))
-    rec = trace.records[pos]
-    out = data.draw(TOKENS.filter(lambda tokens: tokens != rec.emitted_output))
-    changed = dataclasses.replace(
-        rec, emitted_output=out, mask_length=erased_between(rec.raw_hypothesis, out)
-    )
-    tampered = dataclasses.replace(
-        trace, records=trace.records[:pos] + (changed,) + trace.records[pos + 1:]
-    )
-    validate_trace(tampered)  # structurally sound, so only the replay can object
-    with pytest.raises(TraceInvariantError, match=f"step {pos + 1}:"):
+    where, values = DERIVED_VALUES[field]
+    last = len(trace.records) - 1
+    if where == "trace":
+        old = trace.final_output
+    else:
+        if where == "non-last step":
+            assume(last > 0)
+            pos = data.draw(st.integers(0, last - 1))
+        elif where == "step without probes" and strategy.kind == "dynamic":
+            pos = last
+        else:
+            pos = data.draw(st.integers(0, last))
+        rec = trace.records[pos]
+        old = getattr(rec, field)
+    new = data.draw(values.filter(lambda value: value != old))
+    if where == "trace":
+        tampered = dataclasses.replace(trace, final_output=new)
+        message = f"sentence {trace.sentence_id}: {field} "
+    else:
+        changes = {field: new}
+        if field == "emitted_output":  # a display whose mask_length agrees with it
+            changes["mask_length"] = erased_between(rec.raw_hypothesis, new)
+        elif field == "probes":  # and a translate call for each
+            changes["n_translate_calls"] = 1 + len(new)
+        records = list(trace.records)
+        records[pos] = dataclasses.replace(rec, **changes)
+        tampered = dataclasses.replace(trace, records=tuple(records))
+        message = f"sentence {trace.sentence_id}, step {pos + 1}: {field} "
+    with pytest.raises(TraceInvariantError) as info:
         validate_trace(tampered, strategy)
+    assert message in str(info.value)
 
 
 def test_every_strategy_produces_valid_traces(tmp_path):
