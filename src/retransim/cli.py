@@ -9,6 +9,7 @@ plotting; nothing is rendered in-process. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from .metrics import (
     pareto_frontier,
 )
 from .predict import (
+    STRATEGIES,
     EmptyCorpus,
     PredictorError,
     save_lm,
@@ -42,7 +44,7 @@ from .sim import (
     write_traces,
 )
 from .sim import SweepSpec, load_models  # noqa: F401  re-exported: callers read cli.<name>
-from .strategy import StrategyConfig
+from .strategy import KINDS, StrategyConfig
 from .synthetic import toy_translator_spec, write_synthetic
 from .translator import TranslatorError
 
@@ -85,21 +87,19 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """The run config file, or the paths given as flags, with the other flags laid over it."""
-    if args.config:
-        data = load_run_config(args.config).to_dict()
-    elif not (args.source and args.reference):
-        raise ConfigError("need --config, or --source and --reference")
-    elif args.lexicon:
-        data = {"translator": {"kind": "toy", "lexicon_path": args.lexicon}}
-        _overlay(data["translator"], beam_size=args.beam_size, distortion=args.distortion,
-                 instability=args.instability, max_len_ratio=args.max_len_ratio,
-                 seed=args.model_seed)
-    elif args.script:
-        data = {"translator": {"kind": "scripted", "script_path": args.script,
-                               "identity_fallback": args.identity_fallback}}
-    else:
-        raise ConfigError("need --lexicon (toy translator) or --script (scripted)")
+    """The run config file's keys, or none, with each given flag laid over its key."""
+    if not (args.config or (args.source and args.reference and (args.lexicon or args.script))):
+        raise ConfigError("need --config, or --source, --reference and --lexicon or --script")
+    data = load_run_config(args.config).to_dict() if args.config else {}
+    if args.lexicon or args.script:  # sets the kind and its path; another kind's keys go
+        kind, key = ("toy", "lexicon_path") if args.lexicon else ("scripted", "script_path")
+        if data.setdefault("translator", {}).get("kind") != kind:
+            data["translator"] = {"kind": kind}
+        data["translator"][key] = args.lexicon or args.script
+    # a key the translator's kind lacks is the config reader's "unknown key" error
+    _overlay(data["translator"], beam_size=args.beam_size, distortion=args.distortion,
+             instability=args.instability, max_len_ratio=args.max_len_ratio,
+             seed=args.model_seed, identity_fallback=args.identity_fallback or None)
     _overlay(data, source_path=args.source, reference_path=args.reference,
              char_mode=args.char_mode or None, seed=args.seed, lm_path=args.lm,
              ne_mode=args.ne_mode)
@@ -109,8 +109,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     if predictor is not None:
         _overlay(predictor, strategy=args.predictor, k=args.pred_k, n=args.pred_n)
     strategy["predictor"] = predictor if strategy["kind"] == "dynamic" else None
-    where = f"flags over {args.config}" if args.config else "flags"
-    return RunConfig.from_dict(data, args.parallelism, where=where)
+    return RunConfig.from_dict(data, f"flags over {args.config}" if args.config else "flags")
 
 
 def _overlay(data: dict, **flags) -> None:
@@ -119,9 +118,11 @@ def _overlay(data: dict, **flags) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_run_config(args)
-    for out in (args.traces_out, args.metrics_out):  # refused before the run, not after it
-        if out and not Path(out).parent.is_dir():
+    cfg = dataclasses.replace(_resolve_run_config(args), parallelism=args.parallelism)
+    for out in filter(None, (args.traces_out, args.metrics_out)):  # refused before the run
+        if Path(out).is_dir():
+            raise IsADirectoryError(f"{out!r} is a directory")
+        if not Path(out).parent.is_dir():
             raise NotADirectoryError(f"{out!r}: {str(Path(out).parent)!r} is not a directory")
     traces, point = run_corpus(cfg)
     if args.traces_out:
@@ -138,7 +139,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = load_sweep_spec(args.spec, parallelism=args.parallelism)
+    spec = load_sweep_spec(args.spec)
+    base = dataclasses.replace(spec.base, parallelism=args.parallelism)
+    spec = dataclasses.replace(spec, base=base)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(spec, traces_dir=out_dir if args.traces else None)
@@ -222,17 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run config JSON (see README for the key set)")
     p.add_argument("--source")
     p.add_argument("--reference")
-    p.add_argument("--lexicon", help="toy translator lexicon file")
-    p.add_argument("--script", help="scripted translator file")
+    paths = p.add_mutually_exclusive_group()
+    paths.add_argument("--lexicon", help="toy translator lexicon file")
+    paths.add_argument("--script", help="scripted translator file")
     p.add_argument("--identity-fallback", action="store_true")
     p.add_argument("--beam-size", type=int)
     p.add_argument("--distortion", type=float)
     p.add_argument("--instability", type=float)
     p.add_argument("--max-len-ratio", type=float)
     p.add_argument("--model-seed", type=int)
-    p.add_argument("--strategy", choices=["none", "mask_k", "dynamic", "oracle"])
+    p.add_argument("--strategy", choices=KINDS)
     p.add_argument("--k-mask", type=int)
-    p.add_argument("--predictor", choices=["lm_sample", "lm_greedy", "unknown", "random"])
+    p.add_argument("--predictor", choices=STRATEGIES)
     p.add_argument("--pred-k", type=int)
     p.add_argument("--pred-n", type=int)
     p.add_argument("--beta", type=float, help="bias interpolation weight")

@@ -97,8 +97,8 @@ class RunConfig:
     from_dict checks it against ToySpec or ScriptedSpec.
     parallelism is the number of processes that simulate sentences, the
     calling one included: each of the other parallelism - 1 is forked
-    with the heap frozen (see _simulate). It is an execution detail, no
-    key of the serialized form, and must never change results.
+    with the heap frozen (see _simulate). It is an execution detail the
+    caller sets, no key of the serialized form, and must never change results.
     """
 
     source_path: str
@@ -123,10 +123,9 @@ class RunConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data, parallelism: int = 1, where: str = "") -> "RunConfig":
+    def from_dict(cls, data, where: str = "") -> "RunConfig":
         """Read a run config object; where (a file, say) prefixes every error."""
-        cfg = read_config(cls, data, _join(": ", where, "bad run config"))
-        return dataclasses.replace(cfg, parallelism=parallelism)
+        return read_config(cls, data, _join(": ", where, "bad run config"))
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -134,8 +133,8 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def load_run_config(path: str | Path, parallelism: int = 1) -> RunConfig:
-    return RunConfig.from_dict(load_json(path, ConfigError), parallelism, where=str(path))
+def load_run_config(path: str | Path) -> RunConfig:
+    return RunConfig.from_dict(load_json(path, ConfigError), str(path))
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
@@ -223,8 +222,6 @@ def run_sentence(
     """
     strat = cfg.strategy
     source = pair.source
-    if not source:
-        raise CorpusError(f"sentence {pair.sentence_id}: empty source")
     if memo is None:
         memo = _SentenceMemo([cfg], pair, models)
     translator = memo.translator
@@ -580,16 +577,13 @@ class SweepSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data, base_parallelism: int = 1, where: str = "") -> "SweepSpec":
+    def from_dict(cls, data, where: str = "") -> "SweepSpec":
         """Read a sweep spec object; where (a file, say) prefixes every error."""
-        spec = read_config(cls, data, _join(": ", where, "bad sweep spec"))
-        return dataclasses.replace(
-            spec, base=dataclasses.replace(spec.base, parallelism=base_parallelism)
-        )
+        return read_config(cls, data, _join(": ", where, "bad sweep spec"))
 
 
-def load_sweep_spec(path: str | Path, parallelism: int = 1) -> SweepSpec:
-    return SweepSpec.from_dict(load_json(path, ConfigError), parallelism, where=str(path))
+def load_sweep_spec(path: str | Path) -> SweepSpec:
+    return SweepSpec.from_dict(load_json(path, ConfigError), str(path))
 
 
 def run_sweep(

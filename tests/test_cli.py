@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -361,7 +362,7 @@ def test_sweep_workers_do_not_change_results(workspace):
         "include_oracle": True,
     }
     spec = SweepSpec.from_dict(data)
-    parallel_spec = SweepSpec.from_dict(data, base_parallelism=4)
+    parallel_spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, parallelism=4))
     serial = [(c.label, p) for c, p, _ in run_sweep(spec)]
     parallel = [(c.label, p) for c, p, _ in run_sweep(parallel_spec)]
     assert serial == parallel
@@ -546,6 +547,84 @@ def _score_tampered(workspace, capsys, command, tamper):
 def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
     traces_path, problem, err = _score_tampered(workspace, capsys, command, tamper)
     assert f"{traces_path}: {problem}" in err
+
+
+def _empty_corpus(tmp_path, cfg_path):
+    src, ref = tmp_path / "empty.src", tmp_path / "empty.ref"
+    src.write_text("", encoding="utf-8")
+    ref.write_text("", encoding="utf-8")
+    return (["run", "--config", str(cfg_path), "--source", str(src), "--reference", str(ref)],
+            f"{src}: empty corpus")
+
+
+def _scored_traces(tamper):
+    """A case that scores a run's trace file after tamper(traces) edits it;
+    tamper returns the problem named after the file."""
+    def case(tmp_path, cfg_path):
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "--config", str(cfg_path), "--traces-out", str(path)]) == 0
+        header, *traces = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+        problem = tamper(traces)
+        path.write_text("".join(json.dumps(line) + "\n" for line in (header, *traces)),
+                        encoding="utf-8")
+        return ["metrics", "--traces", str(path)], f"{path}: {problem}"
+    return case
+
+
+def _drop_every_trace(traces):
+    traces.clear()
+    return "no traces"
+
+
+def _empty_first_records(traces):
+    traces[0]["records"] = []
+    return "sentence 0: no records"
+
+
+def _drop_first_record(traces):
+    records = traces[0]["records"]
+    del records[0]
+    return f"sentence 0: {len(records)} records for {len(records) + 1} source tokens"
+
+
+def _erasing_sweep(ne_mode, problem):
+    """A case whose one sweep cell, none, erases the only token it showed at
+    the final step, so the sentence ends with an empty translation."""
+    def case(tmp_path, cfg_path):
+        src, ref = write_corpus(tmp_path, ["a b"], ["x y"])
+        script = tmp_path / "script.tsv"
+        script.write_text("a\tx\na b\t\n", encoding="utf-8")
+        base = {"source_path": str(src), "reference_path": str(ref), "ne_mode": ne_mode,
+                "translator": {"kind": "scripted", "script_path": str(script)},
+                "strategy": {"kind": "none"}}
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"base": base, "include_none": True}), encoding="utf-8")
+        return (["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out")],
+                f"cell 'none': {problem}")
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_empty_corpus, id="empty-corpus"),
+        pytest.param(_scored_traces(_drop_every_trace), id="header-only-trace"),
+        pytest.param(_scored_traces(_empty_first_records), id="no-records"),
+        pytest.param(_scored_traces(_drop_first_record), id="missing-record"),
+        pytest.param(_erasing_sweep("mean", "sentence 0: 1 tokens erased but final output is "
+                                    "empty"), id="sweep-erases-to-empty"),
+        pytest.param(_erasing_sweep("corpus", "erasure with empty final outputs"),
+                     id="sweep-erases-to-empty-corpus-ne"),
+    ],
+)
+def test_input_boundary_exits_2_naming_the_problem(workspace, capsys, case):
+    tmp_path, _, cfg_path = workspace
+    argv, problem = case(tmp_path, cfg_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {problem}" in captured.err
+    assert captured.out == ""
 
 
 def _swap_token(trace, new):
@@ -841,15 +920,19 @@ def test_make_synthetic_deterministic(tmp_path, capsys):
         (["make-synthetic", "--out-dir", "afile/sub"], "afile/sub"),
         (["run", "--config", "run.json", "--traces-out", "afile/t.jsonl"], "afile/t.jsonl"),
         (["run", "--config", "run.json", "--metrics-out", "afile/m.csv"], "afile/m.csv"),
+        (["run", "--config", "run.json", "--traces-out", "adir"], "adir"),
+        (["run", "--config", "run.json", "--metrics-out", "adir"], "adir"),
         (["sweep", "--spec", "sweep.json", "--out-dir", "afile"], "afile"),
     ],
-    ids=["synthetic-dir", "synthetic-subdir", "traces-out", "metrics-out", "sweep-dir"],
+    ids=["synthetic-dir", "synthetic-subdir", "traces-out", "metrics-out", "traces-out-dir",
+         "metrics-out-dir", "sweep-dir"],
 )
 def test_output_path_through_a_regular_file_exits_2(workspace, monkeypatch, capsys, args,
                                                     named):
     tmp_path, cfg, _ = workspace
     _write_sweep_spec(tmp_path, cfg, axes={"k_mask": [1]})
     (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
     monkeypatch.chdir(tmp_path)
     # refused before any sentence is simulated
     monkeypatch.setattr(sim, "simulate_sentence", None)

@@ -197,6 +197,53 @@ def test_bad_translator_flag_exits_2(files, monkeypatch, capsys, flags, key):
     _rejected(monkeypatch, capsys, argv, "flags: bad run config: translator: toy translator", key)
 
 
+# each translator flag with a value, the translator key it sets and that value in JSON
+TRANSLATOR_FLAGS = [
+    (["--beam-size", "3"], "beam_size", 3),
+    (["--distortion", "0.5"], "distortion", 0.5),
+    (["--instability", "0.0"], "instability", 0.0),
+    (["--max-len-ratio", "1.5"], "max_len_ratio", 1.5),
+    (["--model-seed", "7"], "seed", 7),
+    (["--identity-fallback"], "identity_fallback", True),
+]
+
+
+@pytest.mark.parametrize("setup", ["config", "lexicon", "script", "config-script"])
+@pytest.mark.parametrize("flag, key, value", TRANSLATOR_FLAGS,
+                         ids=[flag[0] for flag, _, _ in TRANSLATOR_FLAGS])
+def test_translator_flag_sets_its_key_or_exits_2(files, monkeypatch, capsys, setup, flag, key,
+                                                 value):
+    """With or without --config, a translator flag sets its key, or is refused
+    as an unknown key of the translator's kind; it is never dropped."""
+    config = files["config"]
+    lexicon, script = config["translator"]["lexicon_path"], files["script"]
+    cfg = ["--config", _write(files["dir"] / "run.json", config)]
+    paths = ["--source", config["source_path"], "--reference", config["reference_path"]]
+    # the translator each setup names; --script over a toy config keeps no toy key
+    flags, translator = {
+        "config": (cfg, config["translator"]),
+        "lexicon": ([*paths, "--lexicon", lexicon], {"kind": "toy", "lexicon_path": lexicon}),
+        "script": ([*paths, "--script", script], {"kind": "scripted", "script_path": script}),
+        "config-script": ([*cfg, "--script", script],
+                          {"kind": "scripted", "script_path": script}),
+    }[setup]
+    argv = ["run", *flags, *flag, "--echo-config"]
+    if (translator["kind"] == "scripted") != (key == "identity_fallback"):
+        _rejected(monkeypatch, capsys, argv, "bad run config: translator: ",
+                  f"unknown key {key!r}")
+        return
+    assert main(argv) == 0
+    echoed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert json.loads(echoed[0])["translator"] == {**translator, key: value}
+
+
+def test_lexicon_and_script_exclude_each_other(files, monkeypatch, capsys):
+    config = files["config"]
+    argv = ["run", "--source", config["source_path"], "--reference", config["reference_path"],
+            "--lexicon", config["translator"]["lexicon_path"], "--script", files["script"]]
+    _rejected(monkeypatch, capsys, argv, "--script: not allowed with argument --lexicon")
+
+
 # paths into a sweep spec whose axes are {"k_mask": [1]}
 SWEEP_CASES = [
     (("include_none",), "false", "include_none"),  # wrong type
