@@ -99,16 +99,16 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     # a key the translator's kind lacks is the config reader's "unknown key" error
     _overlay(data["translator"], beam_size=args.beam_size, distortion=args.distortion,
              instability=args.instability, max_len_ratio=args.max_len_ratio,
-             seed=args.model_seed, identity_fallback=args.identity_fallback or None)
+             seed=args.model_seed, identity_fallback=args.identity_fallback)
     _overlay(data, source_path=args.source, reference_path=args.reference,
-             char_mode=args.char_mode or None, seed=args.seed, lm_path=args.lm,
-             ne_mode=args.ne_mode)
+             char_mode=args.char_mode, seed=args.seed, lm_path=args.lm, ne_mode=args.ne_mode)
     strategy = data.setdefault("strategy", {"kind": "none"})
-    _overlay(strategy, kind=args.strategy, k_mask=args.k_mask, bias_beta=args.beta)
-    predictor = strategy.get("predictor") or ({} if args.predictor else None)
-    if predictor is not None:
-        _overlay(predictor, strategy=args.predictor, k=args.pred_k, n=args.pred_n)
-    strategy["predictor"] = predictor if strategy["kind"] == "dynamic" else None
+    if args.strategy and args.strategy != strategy["kind"]:  # another kind's keys go
+        strategy.update(kind=args.strategy, k_mask=0, predictor=None)
+    # a key the strategy's kind does not take is StrategyConfig's error
+    predictor = strategy.get("predictor") or {}
+    _overlay(predictor, strategy=args.predictor, k=args.pred_k, n=args.pred_n)
+    _overlay(strategy, k_mask=args.k_mask, bias_beta=args.beta, predictor=predictor or None)
     return RunConfig.from_dict(data, f"flags over {args.config}" if args.config else "flags")
 
 
@@ -119,6 +119,8 @@ def _overlay(data: dict, **flags) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(_resolve_run_config(args), parallelism=args.parallelism)
+    if args.echo_config:  # before the run, so a failed run still shows its config
+        print(json.dumps(cfg.to_dict(), sort_keys=True), file=sys.stderr)
     for out in filter(None, (args.traces_out, args.metrics_out)):  # refused before the run
         if Path(out).is_dir():
             raise IsADirectoryError(f"{out!r} is a directory")
@@ -130,8 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {len(traces)} traces to {args.traces_out}", file=sys.stderr)
     if args.metrics_out:
         write_points_csv(args.metrics_out, [point])
-    if args.echo_config:
-        print(json.dumps(cfg.to_dict(), sort_keys=True), file=sys.stderr)
     print(f"config_hash: {config_hash(cfg)}", file=sys.stderr)
     print(TradeoffPoint.CSV_HEADER)
     print(point.csv_row())
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths = p.add_mutually_exclusive_group()
     paths.add_argument("--lexicon", help="toy translator lexicon file")
     paths.add_argument("--script", help="scripted translator file")
-    p.add_argument("--identity-fallback", action="store_true")
+    p.add_argument("--identity-fallback", action=argparse.BooleanOptionalAction)
     p.add_argument("--beam-size", type=int)
     p.add_argument("--distortion", type=float)
     p.add_argument("--instability", type=float)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="bias interpolation weight")
     p.add_argument("--lm", help="language model file from train-lm")
     p.add_argument("--seed", type=int)
-    p.add_argument("--char-mode", action="store_true")
+    p.add_argument("--char-mode", action=argparse.BooleanOptionalAction)
     p.add_argument("--ne-mode", choices=NE_MODES)
     p.add_argument(
         "--parallelism", type=int, default=1,

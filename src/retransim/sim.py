@@ -182,8 +182,8 @@ def load_models(cfg: RunConfig, pairs: list[SentencePair]) -> Models:
 
 
 def check_lm(strategy: StrategyConfig, lm: NgramLM | None) -> None:
-    """Raise MissingLM if a dynamic strategy's predictor needs an LM and none is loaded."""
-    if strategy.kind != "dynamic" or lm is not None:
+    """Raise MissingLM if the strategy's predictor needs an LM and none is loaded."""
+    if strategy.predictor is None or lm is not None:
         return
     if strategy.predictor.strategy in ("lm_sample", "lm_greedy"):
         raise MissingLM(
@@ -296,9 +296,9 @@ def _probe_key(cfg: RunConfig) -> PredictorConfig | None:
     """The predictor a config probes with, its seed folded with the run
     seed; per-draw seeding also mixes sentence_id, so results are
     order-independent. None for configs that take no probes."""
-    if cfg.strategy.kind != "dynamic":
-        return None
     predictor = cfg.strategy.predictor
+    if predictor is None:
+        return None
     return dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
 
 

@@ -24,10 +24,11 @@ KINDS = ("none", "mask_k", "dynamic", "oracle")
 class StrategyConfig:
     """Which emission policy to run and its parameters.
 
-    bias_beta > 0 turns on biased decoding towards the previously
-    displayed output; it applies to none/mask_k/dynamic. The oracle
-    needs no bias: its hypotheses are compared against the full-sentence
-    translation directly.
+    k_mask is for mask_k only (0 for other kinds), and a predictor is set
+    exactly when the kind is dynamic. bias_beta > 0 turns on biased decoding
+    towards the previously displayed output; it applies to
+    none/mask_k/dynamic. The oracle needs no bias: its hypotheses are
+    compared against the full-sentence translation directly.
     """
 
     kind: str
@@ -40,10 +41,13 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {KINDS}")
         if self.k_mask < 0:
             raise ValueError("k_mask must be >= 0")
+        if self.k_mask and self.kind != "mask_k":
+            raise ValueError(f"k_mask is for mask_k only, got {self.k_mask} with kind {self.kind}")
         if not 0.0 <= self.bias_beta <= 1.0:
             raise ValueError("bias_beta must be in [0, 1]")
-        if self.kind == "dynamic" and self.predictor is None:
-            raise ValueError("dynamic strategy requires a predictor")
+        if (self.predictor is not None) != (self.kind == "dynamic"):
+            raise ValueError("dynamic strategy requires a predictor" if self.kind == "dynamic"
+                             else f"predictor is for dynamic only, got one with kind {self.kind}")
         if self.kind == "oracle" and self.bias_beta > 0.0:
             raise ValueError("oracle does not combine with biased decoding")
 

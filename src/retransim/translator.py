@@ -23,11 +23,10 @@ import math
 import os
 import shutil
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import TokenSeq, check_tokens, numbered_lines, tokenize
+from .core import TokenSeq, _join, check_tokens, numbered_lines, tokenize
 
 EOS = "</s>"
 UNK = "⟨unk⟩"  # ⟨unk⟩: reserved, never produced by whitespace corpora
@@ -260,17 +259,28 @@ class ToyModelConfig:
         for src, entries in self.lexicon.items():
             if not entries:
                 raise NonNormalizedLexicon(f"source token {src!r} has no entries")
-            total = 0.0
             for tgt, p in entries:
-                if not 0.0 < p <= 1.0:
-                    raise NonNormalizedLexicon(
-                        f"probability {p} for {src!r} -> {tgt!r} outside (0, 1]"
-                    )
-                total += p
-            if abs(total - 1.0) > 1e-9:
-                raise NonNormalizedLexicon(
-                    f"probabilities for {src!r} sum to {total}, expected 1"
-                )
+                _check_probability(src, tgt, p)
+            _check_sum(src, entries)
+
+
+# the lexicon's two value rules, run by ToyModelConfig and, naming
+# path:line, by load_lexicon; where prefixes the error
+def _check_probability(src: str, tgt: str, p: float, where: str = "") -> None:
+    if not 0.0 < p <= 1.0:
+        raise NonNormalizedLexicon(
+            _join(": ", where, f"probability {p} for {src!r} -> {tgt!r} outside (0, 1]")
+        )
+
+
+def _check_sum(src: str, entries, where: str = "") -> None:
+    total = 0.0
+    for _, p in entries:
+        total += p
+    if abs(total - 1.0) > 1e-9:
+        raise NonNormalizedLexicon(
+            _join(": ", where, f"probabilities for {src!r} sum to {total}, expected 1")
+        )
 
 
 def _entries_for(lexicon: dict[str, tuple[tuple[str, float], ...]], token: str):
@@ -442,22 +452,19 @@ class ToyLexicalTranslator:
 
     translate is a pure function of (config, source, bias, finality flag).
     The only mutable state is grow-only caches: per-token hash states,
-    and the kernel's packed lexicon rows and target ids, which grow under
-    a lock; so concurrent translate calls are safe.
+    and the kernel's packed lexicon rows and target ids.
     """
 
     def __init__(self, config: ToyModelConfig):
         self.config = config
-        # grow-only cache of per-token hash states; worst case under races
-        # is recomputation of an identical value
+        # grow-only cache of per-token hash states
         self._token_states: dict[str, int] = {}
         # the kernel's side: packed lexicon rows per source token and target
-        # token ids, grown under the lock so that one string has one id
+        # token ids, one id per string
         self._rows: dict[str, bytes] = {}
         self._ids: dict[str, int] = {EOS: _KERNEL_EOS}
         self._targets: list[str] = [EOS]
         self._seed_state = _avalanche(config.seed & _MASK64)
-        self._lock = threading.Lock()
 
     def translate(
         self,
@@ -536,16 +543,15 @@ class ToyLexicalTranslator:
     def _row(self, token: str) -> bytes:
         """The kernel's packed lexicon row for one source token (see _beam.c)."""
         entries = _entries_for(self.config.lexicon, token)
-        with self._lock:
-            ids, targets = self._ids, self._targets
-            parts = [_ROW_COUNT.pack(len(entries))]
-            for tgt, p in entries:
-                i = ids.get(tgt)
-                if i is None:
-                    i = ids[tgt] = len(targets)
-                    targets.append(tgt)
-                parts.append(_ROW_ENTRY.pack(_token_state(tgt), p, i))
-            row = self._rows[token] = b"".join(parts)
+        ids, targets = self._ids, self._targets
+        parts = [_ROW_COUNT.pack(len(entries))]
+        for tgt, p in entries:
+            i = ids.get(tgt)
+            if i is None:
+                i = ids[tgt] = len(targets)
+                targets.append(tgt)
+            parts.append(_ROW_ENTRY.pack(_token_state(tgt), p, i))
+        row = self._rows[token] = b"".join(parts)
         return row
 
     def _python_beam_search(
@@ -663,8 +669,10 @@ def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
 
     '#' starts a comment; blank lines are skipped. Remaining keyword
     arguments become ToyModelConfig fields (beam_size, distortion, ...).
+    A bad probability names its line, a bad sum its token's first line.
     """
     raw: dict[str, list[tuple[str, float]]] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path, ParseError):
             line = line.split("#", 1)[0].strip()
@@ -681,6 +689,10 @@ def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
                 prob = float(prob_text)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
+            _check_probability(src, tgt, prob, f"{path}:{lineno}")
             raw.setdefault(src, []).append((tgt, prob))
+            first_line.setdefault(src, lineno)
+    for src, entries in raw.items():
+        _check_sum(src, entries, f"{path}:{first_line[src]}")
     lexicon = {src: tuple(entries) for src, entries in raw.items()}
     return ToyModelConfig(lexicon=lexicon, **params)

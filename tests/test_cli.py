@@ -289,6 +289,52 @@ def test_sweep_single_cell_matches_run(workspace, tmp_path, capsys):
     assert csv_lines[1] == run_row
 
 
+@pytest.fixture
+def synthetic_work(tmp_path, monkeypatch, capsys):
+    """A small make-synthetic workspace and its LM, as the README's walkthrough makes them."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-synthetic", "--out-dir", "work", "--sentences", "20"]) == 0
+    assert main(["train-lm", "--source", "work/synthetic.src", "--order", "3",
+                 "--out", "work/lm.json"]) == 0
+    capsys.readouterr()
+    return tmp_path / "work"
+
+
+def test_walkthrough_run_and_its_sweep_cell_write_one_file(synthetic_work):
+    """A dynamic run over the mask_k template keeps no k_mask, so it hashes
+    and writes as the sweep cell of the same strategy does."""
+    assert main(["run", "--config", "work/run.json", "--strategy", "dynamic",
+                 "--predictor", "lm_greedy", "--pred-k", "1", "--lm", "work/lm.json",
+                 "--traces-out", "work/dyn.jsonl"]) == 0
+    base = json.loads((synthetic_work / "run.json").read_text(encoding="utf-8"))
+    spec = {"base": {**base, "lm_path": "work/lm.json"},
+            "dynamic_cells": [{"strategy": "lm_greedy", "k": 1}]}
+    Path("sweep.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["sweep", "--spec", "sweep.json", "--out-dir", "results", "--traces"]) == 0
+    cell = Path("results/dynamic_lm_greedy,k=1,n=1.jsonl").read_bytes()
+    assert (synthetic_work / "dyn.jsonl").read_bytes() == cell
+
+
+def _echoed(err: str) -> dict:
+    return json.loads(next(line for line in err.splitlines() if line.startswith("{")))
+
+
+def test_no_char_mode_overrides_a_configs_true(synthetic_work, capsys):
+    config = json.loads((synthetic_work / "run.json").read_text(encoding="utf-8"))
+    Path("char.json").write_text(json.dumps({**config, "char_mode": True}), encoding="utf-8")
+    assert main(["run", "--config", "char.json", "--no-char-mode", "--echo-config"]) == 0
+    assert _echoed(capsys.readouterr().err)["char_mode"] is False
+
+
+def test_echo_config_prints_before_a_failing_run(synthetic_work, capsys):
+    config = json.loads((synthetic_work / "run.json").read_text(encoding="utf-8"))
+    Path("char.json").write_text(json.dumps({**config, "char_mode": True}), encoding="utf-8")
+    assert main(["run", "--config", "char.json", "--echo-config"]) == 2
+    err = capsys.readouterr().err
+    assert "not in lexicon" in err
+    assert _echoed(err)["char_mode"] is True
+
+
 def test_sweep_cells_and_labels(workspace):
     _, cfg, _ = workspace
     spec = SweepSpec.from_dict(
@@ -627,6 +673,32 @@ def test_input_boundary_exits_2_naming_the_problem(workspace, capsys, case):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        (["b ||| y ||| 1.0", "a ||| x ||| 1.5"], "lex.txt:2: probability 1.5 for 'a' -> 'x' "
+         "outside (0, 1]"),
+        (["b ||| y ||| 1.0", "a ||| x ||| nan"], "lex.txt:2: probability nan for 'a' -> 'x' "
+         "outside (0, 1]"),
+        # a sum names its token's first entry
+        (["b ||| y ||| 1.0", "a ||| x ||| 0.75", "# c", "a ||| x2 ||| 0.75"],
+         "lex.txt:2: probabilities for 'a' sum to 1.5, expected 1"),
+    ],
+    ids=["above-one", "nan", "sum"],
+)
+def test_lexicon_value_error_exits_2_naming_its_line(tmp_path, monkeypatch, capsys, lines,
+                                                     problem):
+    src, ref = write_corpus(tmp_path, ["a b"], ["x y"])
+    (tmp_path / "lex.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
+    assert main(["run", "--source", str(src), "--reference", str(ref),
+                 "--lexicon", "lex.txt"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {problem}" in captured.err
+    assert captured.out == ""
+
+
 def _swap_token(trace, new):
     """Every occurrence of the trace's first output token, in every target field, becomes new."""
     old = trace["final_output"][0]
@@ -707,7 +779,8 @@ def test_misplaced_run_header_exits_2(workspace, capsys, command, placement):
     tmp_path, _, cfg_path = workspace
     paths = {kind: tmp_path / f"{kind}.jsonl" for kind in ("mask_k", "none")}
     for kind, path in paths.items():
-        assert main(["run", "--config", str(cfg_path), "--strategy", kind, "--k-mask", "1",
+        k_mask = ["--k-mask", "1"] if kind == "mask_k" else []
+        assert main(["run", "--config", str(cfg_path), "--strategy", kind, *k_mask,
                      "--traces-out", str(path)]) == 0
     header, *traces = paths["mask_k"].read_text(encoding="utf-8").splitlines()
     other = paths["none"].read_text(encoding="utf-8").splitlines()[0]

@@ -181,6 +181,58 @@ def test_bad_flag_over_run_config_exits_2(files, monkeypatch, capsys, flags, nam
     _rejected(monkeypatch, capsys, ["run", "--config", cfg, *flags], *names)
 
 
+MASK_K = {"kind": "mask_k", "k_mask": 2}
+
+
+# (the config's strategy, flags, key named): a field the kind does not use,
+# from the file or from a flag, is refused and never dropped
+DEAD_STRATEGY_FIELDS = [
+    (MASK_K, ["--strategy", "mask_k", "--k-mask", "3", "--predictor", "lm_sample",
+              "--pred-k", "3"], "predictor"),
+    (MASK_K, ["--strategy", "none", "--k-mask", "7"], "k_mask"),
+    (MASK_K, ["--strategy", "none", "--pred-n", "4"], "strategy.predictor.strategy"),
+    ({"kind": "none", "k_mask": 5}, [], "k_mask"),
+    ({**MASK_K, "predictor": {"strategy": "random"}}, [], "predictor"),
+]
+
+
+@pytest.mark.parametrize("strategy, flags, key", DEAD_STRATEGY_FIELDS,
+                         ids=["predictor-flag-on-mask_k", "k_mask-flag-on-none",
+                              "pred-n-flag-on-none", "k_mask-key-on-none",
+                              "predictor-key-on-mask_k"])
+def test_strategy_field_the_kind_does_not_use_exits_2(files, monkeypatch, capsys, strategy,
+                                                      flags, key):
+    cfg = _write(files["dir"] / "run.json", {**files["config"], "strategy": strategy})
+    _rejected(monkeypatch, capsys, ["run", "--config", cfg, *flags],
+              f"{cfg}: bad run config", key)
+
+
+@pytest.mark.parametrize(
+    "strategy, flags, expected",
+    [
+        ({**MASK_K, "bias_beta": 0.5}, ["--strategy", "dynamic", "--predictor", "random"],
+         {"kind": "dynamic", "k_mask": 0, "bias_beta": 0.5,
+          "predictor": {"strategy": "random", "k": 1, "n": 1, "seed": 0}}),
+        ({"kind": "dynamic", "predictor": {"strategy": "random", "k": 2}},
+         ["--strategy", "mask_k", "--k-mask", "1"],
+         {"kind": "mask_k", "k_mask": 1, "bias_beta": 0.0, "predictor": None}),
+        ({"kind": "dynamic", "predictor": {"strategy": "random", "k": 2}},
+         ["--strategy", "dynamic", "--pred-n", "3"],
+         {"kind": "dynamic", "k_mask": 0, "bias_beta": 0.0,
+          "predictor": {"strategy": "random", "k": 2, "n": 3, "seed": 0}}),
+    ],
+    ids=["to-dynamic", "to-mask_k", "same-kind"],
+)
+def test_strategy_flag_of_another_kind_drops_the_files_kind_fields(files, capsys, strategy,
+                                                                   flags, expected):
+    """--strategy of another kind keeps only bias_beta from the file; the
+    other strategy flags then lay over their keys."""
+    cfg = _write(files["dir"] / "run.json", {**files["config"], "strategy": strategy})
+    assert main(["run", "--config", cfg, *flags, "--echo-config"]) == 0
+    echoed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert json.loads(echoed[0])["strategy"] == expected
+
+
 @pytest.mark.parametrize(
     "flags, key",
     [
@@ -416,7 +468,7 @@ def strategies(draw):
     kind = draw(st.sampled_from(["none", "mask_k", "dynamic", "oracle"]))
     return StrategyConfig(
         kind,
-        k_mask=draw(st.integers(0, 12)),
+        k_mask=draw(st.integers(0, 12)) if kind == "mask_k" else 0,
         predictor=draw(predictors) if kind == "dynamic" else None,
         bias_beta=0.0 if kind == "oracle" else draw(betas),
     )
