@@ -34,8 +34,7 @@
 #define RT_ENTRY_BYTES (8 + 8 + 4)
 #define RT_REQUEST_BYTES (4 + 4 + 4 + 8 + 8)
 
-/* Returned instead of a length. */
-#define RT_NO_HYPOTHESIS (-1)
+/* Returned instead of a length: the only status. */
 #define RT_NO_MEMORY (-2)
 
 static uint64_t avalanche(uint64_t x)
@@ -109,9 +108,9 @@ static void keep_best(cand *best, int32_t *count, int32_t cap, const cand *c)
 }
 
 /*
- * Decode one source prefix of n positions. On success the best complete
- * hypothesis's tokens go to out_tokens (room for n), its score to
- * out_score, and its length is returned.
+ * Decode one source prefix of n positions. The best hypothesis's tokens go
+ * to out_tokens (room for n), its score to out_score, and its length is
+ * returned, or RT_NO_MEMORY.
  */
 int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_state,
                        double instability, double distortion, double eos_weight,
@@ -239,7 +238,8 @@ int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_sta
             for (int32_t i = 0; i < n_weights; i++) {
                 int32_t entry = weight_entry[i];
                 int32_t tok = entry < 0 ? RT_EOS : token[entry];
-                double p = weight[i] / total;
+                /* weights that all underflow give every candidate the floor */
+                double p = total > 0.0 ? weight[i] / total : 0.0;
                 int32_t diverged = h->diverged;
                 if (biasing && !h->diverged && m < n_prev) {
                     if (tok == prev[m]) {
@@ -293,15 +293,11 @@ int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_sta
         n_beam = n_best;
     }
 
-    int32_t result = RT_NO_HYPOTHESIS;
-    for (int32_t b = 0; b < n_beam; b++) {
-        if (beam[b].done) {
-            result = beam[b].len;
-            memcpy(out_tokens, tokens + (size_t)b * un, (size_t)result * sizeof(int32_t));
-            *out_score = beam[b].score;
-            break;
-        }
-    }
+    /* every hypothesis has ended: each expansion adds a token for a new
+     * source position or ends, and every lexicon row has an entry */
+    int32_t result = beam[0].len;
+    memcpy(out_tokens, tokens, (size_t)result * sizeof(int32_t));
+    *out_score = beam[0].score;
     free(block);
     return result;
 }
@@ -327,7 +323,7 @@ static const unsigned char *skip_rows(const unsigned char *rows, int32_t n)
  * their previous outputs' token ids, each request's right after the
  * last one's. The prefix state is the FNV-1a of the text from seed_state.
  * Request r's tokens go to out_tokens after the earlier requests' n
- * slots, its length (or RT_NO_HYPOTHESIS, RT_NO_MEMORY) to
+ * slots, its length (or RT_NO_MEMORY) to
  * out_lengths[r] and its score to out_scores[r].
  */
 void rt_beam_search_many(int32_t n_requests, const unsigned char *requests,

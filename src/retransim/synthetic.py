@@ -74,6 +74,8 @@ def generate(
         raise ValueError(f"vocab must be <= {_WORDS // 3}, got {vocab}")
     if not 2 <= min_len <= max_len:
         raise ValueError("need 2 <= min_len <= max_len")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     taken: set[str] = {"."}
     source_words = [_pseudo_word(rng, taken) for _ in range(vocab)]

@@ -23,6 +23,7 @@ import math
 import os
 import shutil
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,8 @@ _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIN_PROB = 1e-300  # floor for log() when biasing zeroes a candidate out
+# the largest instability at which exp(instability * u) is finite for |u| <= 1
+_MAX_INSTABILITY = math.log(sys.float_info.max)
 
 _FINAL_PUNCT = (".", "?", "!")
 
@@ -228,10 +231,10 @@ class ToyModelConfig:
 
     lexicon maps each source token to its target options, probabilities
     summing to 1. distortion in (0, 1] penalizes out-of-order consumption
-    of source positions; instability >= 0 scales the hash perturbation
-    (0 removes it entirely). End-of-sentence becomes available once all
-    source positions are consumed or the output reaches
-    max_len_ratio * len(source) tokens.
+    of source positions; instability in [0, log(DBL_MAX) = 709.78...]
+    scales the hash perturbation (0 removes it entirely). End-of-sentence
+    becomes available once all source positions are consumed or the output
+    reaches max_len_ratio * len(source) tokens.
     """
 
     lexicon: dict[str, tuple[tuple[str, float], ...]]
@@ -248,8 +251,8 @@ class ToyModelConfig:
             raise ValueError("beam_size must be >= 1")
         if not 0.0 < self.distortion <= 1.0:
             raise ValueError("distortion must be in (0, 1]")
-        if self.instability < 0.0:
-            raise ValueError("instability must be >= 0")
+        if not 0.0 <= self.instability <= _MAX_INSTABILITY:
+            raise ValueError(f"instability must be in [0, {_MAX_INSTABILITY}]")
         for name in ("eos_prob_final", "eos_prob_nonfinal"):
             p = getattr(self, name)
             if not 0.0 < p < 1.0:
@@ -283,13 +286,9 @@ def _check_sum(src: str, entries, where: str = "") -> None:
         )
 
 
-def _entries_for(lexicon: dict[str, tuple[tuple[str, float], ...]], token: str):
-    entries = lexicon.get(token)
-    if entries is None:
-        if token == UNK:
-            return ((UNK, 1.0),)
-        raise UnknownSourceToken(f"source token {token!r} not in lexicon")
-    return entries
+def _unknown(missing: KeyError) -> UnknownSourceToken:
+    """The error of a source token that a translator's tables lack."""
+    return UnknownSourceToken(f"source token {missing.args[0]!r} not in lexicon")
 
 
 def _raw_step_weights(
@@ -326,7 +325,8 @@ def _raw_step_weights(
 
 
 class _NoiseTable:
-    """Per-call cache of exp(instability * noise) factors."""
+    """Per-call cache of exp(instability * noise) factors; token_states maps
+    every candidate target to its hash state."""
 
     def __init__(self, cfg: ToyModelConfig, source: TokenSeq, token_states: dict[str, int]):
         self._lam = cfg.instability
@@ -338,10 +338,8 @@ class _NoiseTable:
         key = (target_len, token)
         f = self._factors.get(key)
         if f is None:
-            c = self._token_states.get(token)
-            if c is None:
-                c = self._token_states[token] = _token_state(token)
-            f = self._factors[key] = math.exp(self._lam * _noise(self._prefix, c, target_len))
+            u = _noise(self._prefix, self._token_states[token], target_len)
+            f = self._factors[key] = math.exp(self._lam * u)
         return f
 
 
@@ -367,7 +365,6 @@ _KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
 # no -ffast-math and no fused multiply-adds: the kernel must round every
 # operation as Python does
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_KERNEL_EOS = 0  # RT_EOS in _beam.c
 _KERNEL_NO_MEMORY = -2  # RT_NO_MEMORY in _beam.c
 _INT32_MAX = 2**31 - 1
 # a row of the kernel's input: entry count, then (fnv state, prob, token id)
@@ -451,19 +448,27 @@ class ToyLexicalTranslator:
     """Beam-search decoder over a probabilistic word lexicon.
 
     translate is a pure function of (config, source, bias, finality flag).
-    The only mutable state is grow-only caches: per-token hash states,
-    and the kernel's packed lexicon rows and target ids.
+    Every table is built at construction and never changes after, so
+    forked children inherit them complete.
     """
 
     def __init__(self, config: ToyModelConfig):
         self.config = config
-        # grow-only cache of per-token hash states
-        self._token_states: dict[str, int] = {}
-        # the kernel's side: packed lexicon rows per source token and target
-        # token ids, one id per string
-        self._rows: dict[str, bytes] = {}
-        self._ids: dict[str, int] = {EOS: _KERNEL_EOS}
-        self._targets: list[str] = [EOS]
+        # each source token's (target, prob) entries; UNK translates to
+        # itself unless the lexicon says otherwise
+        self._entries = {UNK: ((UNK, 1.0),), **config.lexicon}
+        # the kernel's target ids, one per string; EOS first, as RT_EOS is 0
+        self._targets = list(dict.fromkeys(
+            [EOS, *(tgt for entries in self._entries.values() for tgt, _ in entries)]
+        ))
+        self._ids = {tgt: i for i, tgt in enumerate(self._targets)}
+        self._token_states = states = {tgt: _token_state(tgt) for tgt in self._targets}
+        # the kernel's packed lexicon row per source token (see _beam.c)
+        self._rows = {
+            src: _ROW_COUNT.pack(len(entries))
+            + b"".join(_ROW_ENTRY.pack(states[tgt], p, self._ids[tgt]) for tgt, p in entries)
+            for src, entries in self._entries.items()
+        }
         self._seed_state = _avalanche(config.seed & _MASK64)
 
     def translate(
@@ -488,12 +493,10 @@ class ToyLexicalTranslator:
             if not source:
                 results[r] = ValueError("source must be non-empty")
                 continue
-            # rows first: they give every candidate target its id before
-            # the previous output's tokens are looked up
             try:
-                packed_rows += [rows.get(tok) or self._row(tok) for tok in source]
-            except UnknownSourceToken as exc:
-                results[r] = exc
+                packed_rows += [rows[tok] for tok in source]
+            except KeyError as missing:
+                results[r] = _unknown(missing)
                 continue
             n_prev, beta, n_text = 0, 0.0, 0
             if bias is not None and bias.beta > 0.0 and bias.previous_output:
@@ -531,28 +534,12 @@ class ToyLexicalTranslator:
         target, out = self._targets.__getitem__, out[:]
         at = 0
         for r, n, length, score in zip(decoded, sizes, lengths[:], scores[:]):
-            if length >= 0:
-                results[r] = Translation(tuple(map(target, out[at : at + length])), score)
-            elif length == _KERNEL_NO_MEMORY:
+            if length == _KERNEL_NO_MEMORY:
                 results[r] = MemoryError("beam search kernel: out of memory")
             else:
-                results[r] = TranslatorError("beam search ended with no complete hypothesis")
+                results[r] = Translation(tuple(map(target, out[at : at + length])), score)
             at += n
         return results
-
-    def _row(self, token: str) -> bytes:
-        """The kernel's packed lexicon row for one source token (see _beam.c)."""
-        entries = _entries_for(self.config.lexicon, token)
-        ids, targets = self._ids, self._targets
-        parts = [_ROW_COUNT.pack(len(entries))]
-        for tgt, p in entries:
-            i = ids.get(tgt)
-            if i is None:
-                i = ids[tgt] = len(targets)
-                targets.append(tgt)
-            parts.append(_ROW_ENTRY.pack(_token_state(tgt), p, i))
-        row = self._rows[token] = b"".join(parts)
-        return row
 
     def _python_beam_search(
         self, source: TokenSeq, bias: BiasSpec | None, source_is_final: bool
@@ -562,7 +549,10 @@ class ToyLexicalTranslator:
             raise ValueError("source must be non-empty")
         cfg = self.config
         n = len(source)
-        entries = [_entries_for(cfg.lexicon, tok) for tok in source]
+        try:
+            entries = [self._entries[tok] for tok in source]
+        except KeyError as missing:
+            raise _unknown(missing) from None
         noise = (
             _NoiseTable(cfg, source, self._token_states) if cfg.instability > 0 else None
         )
@@ -591,7 +581,8 @@ class ToyLexicalTranslator:
                 for w, _, _ in weights:
                     total += w
                 for w, tok, pos in weights:
-                    p = w / total
+                    # weights that all underflow give every candidate the floor
+                    p = w / total if total > 0.0 else 0.0
                     child_diverged = diverged
                     if biasing and not diverged and m < len(prev):
                         if tok == prev[m]:
@@ -618,10 +609,10 @@ class ToyLexicalTranslator:
             pool.sort(key=lambda h: -h[0])
             beam = pool[: cfg.beam_size]
 
-        for score, tokens, *_rest, done in beam:
-            if done:
-                return Translation(tokens, score)
-        raise TranslatorError("beam search ended with no complete hypothesis")
+        # every hypothesis has ended: each expansion adds a token for a new
+        # source position or ends, and every lexicon row has an entry
+        score, tokens, *_ = beam[0]
+        return Translation(tokens, score)
 
 
 class CachingTranslator:
@@ -682,8 +673,6 @@ def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 'src ||| tgt ||| prob'")
             src, tgt, prob_text = parts
-            if not src or not tgt:
-                raise ParseError(f"{path}:{lineno}: empty source or target token")
             check_tokens((src, tgt), where=f"{path}:{lineno}")
             try:
                 prob = float(prob_text)

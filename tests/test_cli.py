@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retransim import sim, synthetic
+from retransim import sim, synthetic, translator
 from retransim.cli import main
 from retransim.metrics import TradeoffPoint, mask_histogram, pareto_frontier
 from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
@@ -671,6 +671,73 @@ def test_input_boundary_exits_2_naming_the_problem(workspace, capsys, case):
     captured = capsys.readouterr()
     assert f"error: {problem}" in captured.err
     assert captured.out == ""
+
+
+_RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, problem",
+    [
+        ({"s.tsv": "\tx\n"}, [*_RUN_FILES, "--script", "s.tsv"], "s.tsv:1: empty source prefix"),
+        ({"empty.jsonl": ""}, ["metrics", "--traces", "empty.jsonl"], "empty.jsonl: no run header"),
+        ({"empty.src": ""}, ["train-lm", "--source", "empty.src", "--out", "lm.json"],
+         "empty.src: no sentences"),
+        # check_tokens is the lexicon's one rule for an empty token
+        ({"lex.txt": "a ||| x ||| 1\n ||| y ||| 1\n"}, [*_RUN_FILES, "--lexicon", "lex.txt"],
+         "invalid token '' in lex.txt:2"),
+        ({}, ["make-synthetic", "--out-dir", "out", "--min-len", "1"],
+         "need 2 <= min_len <= max_len"),
+        ({}, ["make-synthetic", "--out-dir", "out", "--vocab", "0"],
+         "vocab and sentences must be >= 1"),
+        ({}, ["make-synthetic", "--out-dir", "out", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ({}, ["run", "--config", "run.json", "--beta", "1.5"],
+         "flags over run.json: bad run config: strategy: bias_beta must be in [0, 1]"),
+        ({}, ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "random",
+              "--pred-n", "0"], "flags over run.json: bad run config: strategy.predictor: n must "
+         "be >= 1"),
+    ],
+    ids=["script-empty-prefix", "empty-trace-file", "train-lm-empty-source",
+         "lexicon-empty-source", "min-len", "vocab", "negative-seed", "beta", "pred-n"],
+)
+def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch, capsys, files,
+                                                          argv, problem):
+    tmp_path, _, _ = workspace
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "simulate_sentence", None)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {problem}" in captured.err
+    assert captured.out == ""
+
+
+def test_instability_past_exps_range_exits_2_before_simulating(workspace, monkeypatch, capsys):
+    _, _, cfg_path = workspace
+    monkeypatch.setattr(sim, "simulate_sentence", None)
+    assert main(["run", "--config", str(cfg_path), "--instability", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "toy translator: instability must be in [0, 709." in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--instability", "1000"], 2), (["--distortion", "1e-100", "--beam-size", "8"], 0)],
+    ids=["instability-past-exps-range", "underflowing-distortion"],
+)
+def test_run_outcome_does_not_depend_on_the_kernel(tmp_path, monkeypatch, capsys, flags, code):
+    assert main(["make-synthetic", "--out-dir", str(tmp_path), "--sentences", "20"]) == 0
+    argv = ["run", "--config", str(tmp_path / "run.json"), *flags]
+    capsys.readouterr()
+    outcomes = []
+    for kernel in (translator._kernel, None):
+        monkeypatch.setattr(translator, "_kernel", kernel)
+        outcomes.append((main(argv), capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
 
 
 @pytest.mark.parametrize(

@@ -272,6 +272,11 @@ def test_aggregate_corpus_ne_mode():
         aggregate("demo", [t1], ne_mode="bogus")
 
 
+def test_aggregate_corpus_ne_is_zero_when_every_final_output_is_empty_and_nothing_erased():
+    traces = [make_trace([(), ()], reference=("x",), sentence_id=i) for i in range(2)]
+    assert aggregate("demo", traces, ne_mode="corpus").ne == 0.0
+
+
 def test_aggregate_requires_references():
     t = make_trace([("x",)])
     with pytest.raises(MetricsError):

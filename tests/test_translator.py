@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retransim import translator
+from retransim import synthetic, translator
 from retransim.core import TokenSeq
 from retransim.translator import (
     EOS,
@@ -26,6 +27,7 @@ from retransim.translator import (
     ToyModelConfig,
     UnknownSourceToken,
     _MASK64,
+    _MAX_INSTABILITY,
     _noise,
     _prefix_state,
     _token_state,
@@ -126,6 +128,23 @@ def test_toy_config_validation():
         ToyModelConfig(lexicon={"a": (("x", 0.5),)})
 
 
+@pytest.mark.parametrize(
+    "build, problem",
+    [
+        (lambda: ToyModelConfig(lexicon={"a": ()}), "source token 'a' has no entries"),
+        # past log(DBL_MAX), exp(instability * u) overflows for u near 1
+        (lambda: ToyModelConfig(lexicon={}, instability=1000.0), "instability must be in [0, 709."),
+        (lambda: ToyModelConfig(lexicon={}, instability=math.nan), "instability must be in"),
+        (lambda: BiasSpec(("x",), 1.5), "beta must be in [0, 1], got 1.5"),
+    ],
+    ids=["no-entries", "instability-past-exp-range", "instability-nan", "beta-above-one"],
+)
+def test_out_of_range_decoder_value_is_refused(build, problem):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert problem in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # One decode step
 # ---------------------------------------------------------------------------
@@ -145,8 +164,8 @@ def step_candidates(
     consumes none.
     """
     cfg = tr.config
-    entries = [translator._entries_for(cfg.lexicon, tok) for tok in source]
-    noise = translator._NoiseTable(cfg, source, {}) if cfg.instability > 0 else None
+    entries = [tr._entries[tok] for tok in source]
+    noise = translator._NoiseTable(cfg, source, tr._token_states) if cfg.instability > 0 else None
     eos_weight = translator._eos_weight(cfg, source, final)
     highest = coverage.bit_length() - 1
     weights = translator._raw_step_weights(
@@ -450,7 +469,7 @@ def test_decoder_noise_matches_public_contract():
     from retransim.translator import _NoiseTable
 
     cfg = ToyModelConfig(lexicon={"a": (("x", 1.0),)}, instability=0.7, seed=9)
-    table = _NoiseTable(cfg, ("a", "b"), {})
+    table = _NoiseTable(cfg, ("a", "b"), {tok: _token_state(tok) for tok in ("x", "y", "zz")})
     for m in range(3):
         for tok in ("x", "y", "zz"):
             want = math.exp(0.7 * instability_noise(9, ("a", "b"), m, tok))
@@ -476,8 +495,9 @@ def decoding_cases(draw):
     cfg = ToyModelConfig(
         lexicon=lexicon,
         beam_size=draw(st.integers(1, 6)),
-        distortion=draw(st.sampled_from([0.3, 0.7, 1.0])),
-        instability=draw(st.sampled_from([0.0, 0.4, 1.5])),
+        # the tiny distortions let every candidate weight of a step underflow
+        distortion=draw(st.sampled_from([0.3, 0.7, 1.0, 1e-100, 1e-300])),
+        instability=draw(st.sampled_from([0.0, 0.4, 1.5, 700.0, _MAX_INSTABILITY])),
         eos_prob_final=draw(st.sampled_from([0.5, 0.9])),
         eos_prob_nonfinal=draw(st.sampled_from([0.1, 0.2])),
         max_len_ratio=draw(st.sampled_from([0.5, 1.0, 1.5])),
@@ -525,6 +545,19 @@ def test_bias_with_beta_zero_decodes_as_no_bias(case, previous):
 
 
 @needs_kernel
+@pytest.mark.parametrize("instability", [700.0, _MAX_INSTABILITY])
+@pytest.mark.parametrize("beam_size", [2, 8])
+def test_kernel_matches_python_at_the_instability_bound(beam_size, instability):
+    src_lines, _, lexicon = synthetic.generate(sentences=40)
+    params = {**synthetic.TOY_PARAMS, "beam_size": beam_size, "instability": instability}
+    tr = ToyLexicalTranslator(
+        ToyModelConfig(lexicon={src: tuple(entries) for src, entries in lexicon.items()}, **params)
+    )
+    for line in src_lines:
+        _assert_kernel_matches_python(tr, tuple(line.split()), final=True)
+
+
+@needs_kernel
 def test_kernel_matches_python_past_64_source_positions():
     lex = {
         "a": (("x", 0.6), ("y", 0.4)),
@@ -567,6 +600,21 @@ def test_kernel_loads_when_a_compiler_is_present():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert translator._kernel is not None
+
+
+def test_kernel_out_of_memory_is_a_memory_error(monkeypatch):
+    class OutOfMemory:  # a kernel whose every allocation fails
+        def rt_beam_search_many(self, n_requests, *args):
+            lengths = args[-2]
+            for r in range(n_requests):
+                lengths[r] = translator._KERNEL_NO_MEMORY
+
+    monkeypatch.setattr(translator, "_kernel", OutOfMemory())
+    tr = ToyLexicalTranslator(ToyModelConfig(lexicon={"a": (("x", 1.0),)}))
+    got = tr.translate_many([(("a",), None, True), (("a", "a"), None, False)])
+    assert [_status(r) for r in got] == [(MemoryError, "beam search kernel: out of memory")] * 2
+    with pytest.raises(MemoryError):
+        tr.translate(("a",))
 
 
 def test_python_beam_search_is_the_fallback(monkeypatch):
@@ -667,6 +715,23 @@ def test_translate_many_equals_translate_per_request(case):
     finally:
         translator._kernel = kernel
     assert outcomes[0] == outcomes[-1]  # the kernel's batch equals the Python search's
+
+
+@pytest.mark.parametrize("kernel", [translator._kernel, None], ids=["kernel", "python"])
+def test_decoding_leaves_the_translators_tables_as_built(monkeypatch, kernel):
+    lex = {"a": (("x", 0.6), ("y", 0.4)), "b": (("z", 1.0),), "c": (("w", 1.0),)}
+    tr = ToyLexicalTranslator(ToyModelConfig(lexicon=lex, instability=0.9, seed=4))
+    built = copy.deepcopy(vars(tr))
+    # every source row, UNK's included, is packed before any request
+    assert set(tr._rows) == {*lex, UNK}
+    assert set(tr._ids) == set(tr._token_states) == {EOS, UNK, "x", "y", "z", "w"}
+    monkeypatch.setattr(translator, "_kernel", kernel)
+    requests = [(seq("a b"), None, False), (seq("c a b"), BiasSpec(seq("w q"), 0.5), True),
+                ((UNK, "a"), None, True), (seq("a q"), None, False), ((), None, False)]
+    got = [_status(r) for r in tr.translate_many(requests)]
+    assert got[3:] == [(UnknownSourceToken, "source token 'q' not in lexicon"),
+                       (ValueError, "source must be non-empty")]
+    assert vars(tr) == built
 
 
 def test_caching_translator_sends_each_miss_once_and_keeps_errors():
