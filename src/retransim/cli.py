@@ -44,8 +44,8 @@ from .sim import (
     write_traces,
 )
 from .sim import SweepSpec, load_models  # noqa: F401  re-exported: callers read cli.<name>
-from .strategy import KINDS, StrategyConfig
-from .synthetic import toy_translator_spec, write_synthetic
+from .strategy import KINDS
+from .synthetic import synthetic_paths, toy_translator_spec, write_synthetic
 from .translator import TranslatorError
 
 # every other input error (config, corpus, lexicon, trace, metrics, LM file) is a ValueError
@@ -184,19 +184,21 @@ def _cmd_mask_hist(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_synthetic(args: argparse.Namespace) -> int:
-    paths = write_synthetic(
+    paths = synthetic_paths(args.out_dir)
+    # the template goes through the checked reader before any file is written
+    run_cfg = RunConfig.from_dict({
+        "source_path": paths["source"],
+        "reference_path": paths["reference"],
+        "translator": toy_translator_spec(paths["lexicon"], instability=args.instability),
+        "strategy": {"kind": "mask_k", "k_mask": 2},
+    }, "flags")
+    write_synthetic(
         args.out_dir,
         sentences=args.sentences,
         vocab=args.vocab,
         min_len=args.min_len,
         max_len=args.max_len,
         seed=args.seed,
-    )
-    run_cfg = RunConfig(
-        source_path=paths["source"],
-        reference_path=paths["reference"],
-        translator=toy_translator_spec(paths["lexicon"], instability=args.instability),
-        strategy=StrategyConfig("mask_k", k_mask=2),
     )
     cfg_path = Path(args.out_dir) / "run.json"
     save_run_config(run_cfg, cfg_path)

@@ -5,15 +5,17 @@ a lexicon in which many source words have a lower-probability variant
 translation (the raw material for flicker), and references built from
 each word's primary translation. Everything derives from one seed, so
 regenerated files are byte-identical.
+
+The draws are those of numpy's ``Generator(PCG64(seed))``, reproduced in
+pure Python by _PCG64, so the package needs no numpy and the files are
+those the generator made when it drew from numpy (README, "Determinism
+contract", says where they could still differ).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SENTENCES = 200
 VOCAB = 50
@@ -43,13 +45,110 @@ _VARIANT_FRACTION = 0.5
 _PRIMARY_PROBS = (0.65, 0.68, 0.7, 0.75, 0.8, 0.85)
 _ZIPF_EXPONENT = 0.8
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _pseudo_word(rng: np.random.Generator, taken: set[str]) -> str:
+
+def _seed_sequence(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64)."""
+    words = [seed & _MASK32]  # the seed in 32-bit words, least significant first
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """The draws of numpy's Generator(PCG64(seed)) that generate makes.
+
+    The 128-bit LCG with XSL-RR output (O'Neill, "PCG", 2014), seeded
+    through numpy's SeedSequence; bounded integers by Lemire's method
+    (ACM TOMACS 2019), on 32-bit draws that use both halves of a 64-bit
+    output.
+    """
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_sequence(seed)
+        self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        self.state = 0  # PCG's srandom: step, add the seed, step
+        self._next64()
+        self.state = (self.state + (s_hi << 64 | s_lo)) & _MASK128
+        self._next64()
+        self._half: int | None = None  # the unused upper half of a 64-bit output
+
+    def _next64(self) -> int:
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        """A float in [0, 1) with 53 random bits."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), for high - low <= 2**32.
+
+        A range of one draws nothing. A range of 2**32 returns one raw
+        32-bit draw, as numpy's special case for it does: its threshold
+        is 0.
+        """
+        rng = high - 1 - low
+        if rng == 0:
+            return low
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & _MASK32 < excl:
+            threshold = (_MASK32 - rng) % excl
+            while m & _MASK32 < threshold:
+                m = self._next32() * excl
+        return low + (m >> 32)
+
+
+def _pseudo_word(rng: _PCG64, taken: set[str]) -> str:
     while True:
         syllables = 2 + int(rng.random() < 0.35)
         word = "".join(
-            _CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-            + _VOWELS[int(rng.integers(len(_VOWELS)))]
+            _CONSONANTS[rng.integers(0, len(_CONSONANTS))]
+            + _VOWELS[rng.integers(0, len(_VOWELS))]
             for _ in range(syllables)
         )
         if word not in taken:
@@ -65,18 +164,17 @@ def generate(
     seed: int = SEED,
 ) -> tuple[list[str], list[str], dict[str, list[tuple[str, float]]]]:
     """Build (source lines, reference lines, lexicon) deterministically."""
-    # imported here: the rest of the package runs without numpy
-    import numpy as np
-
     if vocab < 1 or sentences < 1:
         raise ValueError("vocab and sentences must be >= 1")
     if 3 * vocab > _WORDS:  # a source word, its translation and maybe a variant
         raise ValueError(f"vocab must be <= {_WORDS // 3}, got {vocab}")
     if not 2 <= min_len <= max_len:
         raise ValueError("need 2 <= min_len <= max_len")
+    if max_len - min_len >= 1 << 32:  # a length is one 32-bit draw
+        raise ValueError(f"need max_len - min_len < 2**32, got {max_len - min_len}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _PCG64(seed)
     taken: set[str] = {"."}
     source_words = [_pseudo_word(rng, taken) for _ in range(vocab)]
 
@@ -87,22 +185,33 @@ def generate(
         primary[word] = target
         if rng.random() < _VARIANT_FRACTION:
             variant = _pseudo_word(rng, taken)
-            p = _PRIMARY_PROBS[int(rng.integers(len(_PRIMARY_PROBS)))]
+            p = _PRIMARY_PROBS[rng.integers(0, len(_PRIMARY_PROBS))]
             lexicon[word] = [(target, p), (variant, round(1.0 - p, 6))]
         else:
             lexicon[word] = [(target, 1.0)]
     lexicon["."] = [(".", 1.0)]
     primary["."] = "."
 
-    weights = 1.0 / np.arange(1, vocab + 1) ** _ZIPF_EXPONENT
-    weights /= weights.sum()
+    # numpy's choice(vocab, p=weights): normalized weights summed left to
+    # right (explicit loops: sum() of floats is compensated from 3.12 on),
+    # divided by the last sum, searched with one random() per draw
+    weights = [1.0 / rank**_ZIPF_EXPONENT for rank in range(1, vocab + 1)]
+    norm = 0.0
+    for w in weights:
+        norm += w
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w / norm
+        cdf.append(acc)
+    cdf = [c / acc for c in cdf]
 
     src_lines = []
     ref_lines = []
     for _ in range(sentences):
-        total = int(rng.integers(min_len, max_len + 1))
-        picks = rng.choice(vocab, size=total - 1, p=weights)
-        tokens = [source_words[i] for i in picks] + ["."]
+        total = rng.integers(min_len, max_len + 1)
+        tokens = [source_words[bisect_right(cdf, rng.random())] for _ in range(total - 1)]
+        tokens.append(".")
         src_lines.append(" ".join(tokens))
         ref_lines.append(" ".join(primary[t] for t in tokens))
     return src_lines, ref_lines, lexicon
@@ -118,23 +227,25 @@ def write_synthetic(
 ) -> dict[str, str]:
     """Write synthetic.src / synthetic.ref / synthetic.lexicon; return paths."""
     src_lines, ref_lines, lexicon = generate(sentences, vocab, min_len, max_len, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    src_path = out / "synthetic.src"
-    ref_path = out / "synthetic.ref"
-    lex_path = out / "synthetic.lexicon"
-    src_path.write_text("\n".join(src_lines) + "\n", encoding="utf-8")
-    ref_path.write_text("\n".join(ref_lines) + "\n", encoding="utf-8")
-    with open(lex_path, "w", encoding="utf-8") as fh:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = synthetic_paths(out_dir)
+    Path(paths["source"]).write_text("\n".join(src_lines) + "\n", encoding="utf-8")
+    Path(paths["reference"]).write_text("\n".join(ref_lines) + "\n", encoding="utf-8")
+    with open(paths["lexicon"], "w", encoding="utf-8") as fh:
         fh.write("# src ||| tgt ||| prob\n")
         for src_word, entries in lexicon.items():
             for tgt, prob in entries:
                 fh.write(f"{src_word} ||| {tgt} ||| {prob:.6f}\n")
+    return paths
+
+
+def synthetic_paths(out_dir: str | Path) -> dict[str, str]:
+    """The source, reference and lexicon paths that write_synthetic writes."""
+    out = Path(out_dir)
     return {
-        "source": str(src_path),
-        "reference": str(ref_path),
-        "lexicon": str(lex_path),
+        "source": str(out / "synthetic.src"),
+        "reference": str(out / "synthetic.ref"),
+        "lexicon": str(out / "synthetic.lexicon"),
     }
 
 

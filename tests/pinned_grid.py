@@ -1,13 +1,17 @@
-"""Run a sweep spec and print each cell's trace digest and metric reprs.
+"""Write the pinned inputs, run a sweep spec over them and print each
+cell's trace digest and metric reprs.
 
     PYTHONPATH=src python tests/pinned_grid.py SPEC.json
 
-Run it from the directory that the spec's relative paths start in. It is
-a plain script, so that interpreters without pytest or numpy can run
-it: it imports only retransim.sim and the standard library. It prints
-one JSON object: the interpreter's version, whether the compiled decoder
-kernel loaded, and per cell label the fields of bench/golden.json (the
-sha256 of the cell's trace file and the reprs of its AL, NE and BLEU).
+Run it from the directory that the spec's relative paths start in. It
+first writes the pinned synthetic corpus and its order-3 LM under
+inputs/ there, as the benchmark does, so the corpus generator's floats
+are this interpreter's too. It is a plain script, so that interpreters
+without pytest can run it: it imports only retransim and the standard
+library. It prints one JSON object: the interpreter's version, whether
+the compiled decoder kernel loaded, and per cell label the fields of
+bench/golden.json (the sha256 of the cell's trace file and the reprs of
+its AL, NE and BLEU).
 """
 
 from __future__ import annotations
@@ -21,9 +25,15 @@ import tempfile
 from pathlib import Path
 
 import retransim.sim as sim
+from retransim.core import read_lines, tokenize
+from retransim.predict import save_lm, train_lm
+from retransim.synthetic import write_synthetic
 
 
 def main(spec_path: str) -> None:
+    paths = write_synthetic("inputs")
+    sentences = [tokenize(line) for line in read_lines(paths["source"])]
+    save_lm(train_lm(sentences, order=3, smoothing_alpha=0.1), "inputs/lm.json")
     spec = sim.load_sweep_spec(spec_path)
     cells = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -17,7 +17,7 @@ from retransim import sim, synthetic, translator
 from retransim.cli import main
 from retransim.metrics import TradeoffPoint, mask_histogram, pareto_frontier
 from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
-from retransim.predict import load_lm
+from retransim.predict import LM_FORMAT, load_lm
 from retransim.sim import ConfigError, RunConfig, read_traces, save_run_config
 from retransim.strategy import StrategyConfig
 from conftest import lm_prob, write_corpus
@@ -691,6 +691,15 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
         ({}, ["make-synthetic", "--out-dir", "out", "--vocab", "0"],
          "vocab and sentences must be >= 1"),
         ({}, ["make-synthetic", "--out-dir", "out", "--seed", "-1"], "seed must be >= 0, got -1"),
+        # the run config template is checked before any file is written
+        ({}, ["make-synthetic", "--out-dir", "out", "--instability", "1000"],
+         "flags: bad run config: translator: toy translator: instability must be in [0, 709."),
+        ({}, ["make-synthetic", "--out-dir", "out", "--instability", "nan"],
+         "flags: bad run config: translator: toy translator: instability: expected float, got "
+         "nan"),
+        ({"lm.json": json.dumps({"format": LM_FORMAT, "version": 99})},
+         ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "lm_greedy",
+          "--lm", "lm.json"], "lm.json: version 99 unsupported (expected 1)"),
         ({}, ["run", "--config", "run.json", "--beta", "1.5"],
          "flags over run.json: bad run config: strategy: bias_beta must be in [0, 1]"),
         ({}, ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "random",
@@ -698,7 +707,8 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
          "be >= 1"),
     ],
     ids=["script-empty-prefix", "empty-trace-file", "train-lm-empty-source",
-         "lexicon-empty-source", "min-len", "vocab", "negative-seed", "beta", "pred-n"],
+         "lexicon-empty-source", "min-len", "vocab", "negative-seed", "synthetic-instability",
+         "synthetic-instability-nan", "lm-version", "beta", "pred-n"],
 )
 def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch, capsys, files,
                                                           argv, problem):
@@ -712,6 +722,7 @@ def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch
     captured = capsys.readouterr()
     assert f"error: {problem}" in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_instability_past_exps_range_exits_2_before_simulating(workspace, monkeypatch, capsys):

@@ -1,12 +1,14 @@
 """The pinned grid gives the golden numbers on every local CPython >= 3.10.
 
 The determinism contract covers every interpreter that pyproject.toml
-admits. This test writes the pinned inputs and the grid's sweep spec
-under the main interpreter (numpy generates the corpus), then runs the
-grid serially under each other CPython >= 3.10 it finds, through the
-plain script tests/pinned_grid.py, and compares every cell with
-bench/golden.json. Interpreters are looked for in pyenv's versions
-directory and as python3.N on PATH; with none found the test skips.
+admits. This test writes the grid's sweep spec under the main
+interpreter, then runs the grid serially under each other CPython >= 3.10
+it finds, through the plain script tests/pinned_grid.py, which first
+generates the pinned corpus and trains its LM under that interpreter;
+every cell is compared with bench/golden.json. Interpreters are looked
+for in pyenv's versions directory and as python3.N on PATH; with none
+found the test skips. The package needs no numpy: the last test runs
+make-synthetic with numpy unimportable.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from pathlib import Path
 import pytest
 
 from retransim import translator
-from retransim.core import read_lines, tokenize
-from retransim.predict import save_lm, train_lm
+from retransim.cli import main
 from retransim.sim import RunConfig
 from retransim.strategy import StrategyConfig
-from retransim.synthetic import toy_translator_spec, write_synthetic
+from retransim.synthetic import synthetic_paths, toy_translator_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "bench" / "golden.json"
@@ -62,14 +63,11 @@ _INTERPRETERS = _other_interpreters()
 
 
 @pytest.fixture(scope="module")
-def grid_dir(tmp_path_factory) -> Path:
-    """The pinned inputs and the grid's spec, under the benchmark's relative
-    paths, so that the run headers and with them the digests match."""
+def grid_spec() -> str:
+    """The grid's sweep spec over the pinned inputs, under the benchmark's
+    relative paths, so that the run headers and with them the digests match."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    work = tmp_path_factory.mktemp("grid")
-    paths = {k: Path(v).relative_to(work).as_posix() for k, v in write_synthetic(work / "inputs").items()}
-    sentences = [tokenize(line) for line in read_lines(work / paths["source"])]
-    save_lm(train_lm(sentences, order=3, smoothing_alpha=0.1), work / "inputs" / "lm.json")
+    paths = {k: Path(v).as_posix() for k, v in synthetic_paths("inputs").items()}
     base = RunConfig(
         source_path=paths["source"],
         reference_path=paths["reference"],
@@ -86,19 +84,19 @@ def grid_dir(tmp_path_factory) -> Path:
             {"strategy": "lm_sample", "k": 3, "n": 3},
         ],
     }
-    (work / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
-    return work
+    return json.dumps(spec)
 
 
 @pytest.mark.skipif(not _INTERPRETERS, reason="no other CPython >= 3.10 found")
 @pytest.mark.parametrize(
     "version,exe", _INTERPRETERS or [("none", "")], ids=[v for v, _ in _INTERPRETERS] or ["none"]
 )
-def test_pinned_grid_matches_golden_under(version, exe, grid_dir):
+def test_pinned_grid_matches_golden_under(version, exe, grid_spec, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    (tmp_path / "spec.json").write_text(grid_spec, encoding="utf-8")
     child = subprocess.run(
         [exe, str(SCRIPT), "spec.json"],
-        cwd=grid_dir,
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
@@ -114,14 +112,33 @@ def test_pinned_grid_matches_golden_under(version, exe, grid_dir):
         assert seen == golden["cells"][label], (version, label)
 
 
-def test_cli_import_leaves_numpy_out():
-    # only synthetic.generate needs numpy, and it imports it on call
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+import retransim.cli
+sys.exit(retransim.cli.main(["make-synthetic", "--out-dir", "work"]))
+"""
+
+
+def test_cli_import_leaves_numpy_out(tmp_path, monkeypatch, capsys):
+    # nothing in the package imports numpy, make-synthetic included; its
+    # files equal those of a run in this process
+    child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+    child_dir.mkdir()
+    own_dir.mkdir()
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, retransim.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        cwd=child_dir,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
+    monkeypatch.chdir(own_dir)
+    assert main(["make-synthetic", "--out-dir", "work"]) == 0
+    assert child.stdout == capsys.readouterr().out
+    names = ["run.json", "synthetic.lexicon", "synthetic.ref", "synthetic.src"]
+    assert sorted(p.name for p in (child_dir / "work").iterdir()) == names
+    for name in names:
+        assert (child_dir / "work" / name).read_bytes() == (own_dir / "work" / name).read_bytes()

@@ -222,6 +222,17 @@ def test_trace_round_trip_and_replay_equality(tmp_path):
     assert replayed == point  # bit-identical floats
 
 
+def test_read_traces_skips_blank_lines(tmp_path):
+    cfg = _noisy_corpus_config(tmp_path, StrategyConfig("mask_k", k_mask=2))
+    traces, _ = run_corpus(cfg)
+    path = tmp_path / "traces.jsonl"
+    write_traces(path, traces, cfg)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n \n" + "\n\n".join(lines) + "\n\t\n", encoding="utf-8")
+    assert read_traces(spaced) == read_traces(path) == (cfg, traces)
+
+
 def test_trace_dict_round_trip(tmp_path):
     cfg = _noisy_corpus_config(tmp_path, StrategyConfig("none"))
     traces, _ = run_corpus(cfg)

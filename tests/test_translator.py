@@ -58,6 +58,14 @@ def test_load_script_lookup(tmp_path):
     assert tr.translate(("Several",)).score == 0.0
 
 
+def test_load_script_skips_blank_lines(tmp_path):
+    plain = load_script(_write(tmp_path, "plain.tsv", REORDER_SCRIPT))
+    spaced_text = "\n" + REORDER_SCRIPT.replace("\n", "\n\n")
+    spaced = load_script(_write(tmp_path, "spaced.tsv", spaced_text))
+    assert spaced.script == plain.script
+    assert len(spaced.script) == 2
+
+
 def test_script_miss_and_fallback(tmp_path):
     path = _write(tmp_path, "empty.tsv", "")
     tr = load_script(path)
