@@ -11,10 +11,9 @@ import statistics
 from pathlib import Path
 
 from retransim import PredictorConfig, RunConfig, StrategyConfig, save_lm, train_lm
-from retransim.cli import write_points_csv
-from retransim.metrics import mask_histogram, pareto_frontier
+from retransim.metrics import csv_lines, mask_histogram, pareto_frontier
 from retransim.sim import SweepSpec, run_sweep
-from retransim.core import tokenize
+from retransim.core import tokenize, write_lines
 from retransim.synthetic import write_synthetic, toy_translator_spec
 
 OUT = Path(__file__).parent / "output"
@@ -59,8 +58,8 @@ def main() -> None:
             f"{point.bleu:>8.2f}   {star}"
         )
 
-    write_points_csv(OUT / "sweep.csv", points)
-    write_points_csv(OUT / "sweep_pareto.csv", pareto_frontier(points))
+    write_lines(OUT / "sweep.csv", csv_lines(points))
+    write_lines(OUT / "sweep_pareto.csv", csv_lines(pareto_frontier(points)))
     print(f"\nwrote {OUT / 'sweep.csv'} and {OUT / 'sweep_pareto.csv'}")
 
     label = "dynamic:lm_greedy,k=1,n=1"

@@ -53,7 +53,6 @@ from .translator import (
     EOS,
     UNK,
     BiasSpec,
-    CachingTranslator,
     ScriptedTranslator,
     ToyLexicalTranslator,
     ToyModelConfig,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiasSpec",
-    "CachingTranslator",
     "EOS",
     "Models",
     "NgramLM",

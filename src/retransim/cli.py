@@ -14,14 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .core import read_lines, tokenize
-from .metrics import (
-    NE_MODES,
-    TradeoffPoint,
-    aggregate,
-    mask_histogram,
-    pareto_frontier,
-)
+from .core import read_lines, tokenize, write_lines
+from .metrics import NE_MODES, aggregate, csv_lines, mask_histogram, pareto_frontier
 from .predict import (
     STRATEGIES,
     EmptyCorpus,
@@ -57,14 +51,8 @@ _INPUT_ERRORS = (
     PermissionError,
     PredictorError,
     TranslatorError,
-    SimulationError,
     ValueError,
 )
-
-
-def write_points_csv(path: str | Path, points: list[TradeoffPoint]) -> None:
-    lines = [TradeoffPoint.CSV_HEADER] + [p.csv_row() for p in points]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +118,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.traces_out:
         write_traces(args.traces_out, traces, cfg)
         print(f"wrote {len(traces)} traces to {args.traces_out}", file=sys.stderr)
+    lines = csv_lines([point])
     if args.metrics_out:
-        write_points_csv(args.metrics_out, [point])
+        write_lines(args.metrics_out, lines)
     print(f"config_hash: {config_hash(cfg)}", file=sys.stderr)
-    print(TradeoffPoint.CSV_HEADER)
-    print(point.csv_row())
+    print(*lines, sep="\n")
     return 0
 
 
@@ -146,25 +134,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(spec, traces_dir=out_dir if args.traces else None)
     points = [point for _, point, _ in results]
+    lines = csv_lines(points)
     csv_path = out_dir / "sweep.csv"
-    write_points_csv(csv_path, points)
+    write_lines(csv_path, lines)
     print(f"wrote {len(points)} cells to {csv_path}", file=sys.stderr)
     if args.pareto:
         pareto_path = out_dir / "sweep_pareto.csv"
-        write_points_csv(pareto_path, pareto_frontier(points))
+        write_lines(pareto_path, csv_lines(pareto_frontier(points)))
         print(f"wrote Pareto frontier to {pareto_path}", file=sys.stderr)
-    for line in (TradeoffPoint.CSV_HEADER, *(p.csv_row() for p in points)):
-        print(line)
+    print(*lines, sep="\n")
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     cfg, traces = read_valid_traces(args.traces)
     point = aggregate(args.label or cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
+    lines = csv_lines([point])
     if args.out:
-        write_points_csv(args.out, [point])
-    print(TradeoffPoint.CSV_HEADER)
-    print(point.csv_row())
+        write_lines(args.out, lines)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -296,9 +284,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SweepCellError as exc:
+    except (SweepCellError, SimulationError) as exc:  # exits by the error it locates
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.__cause__, _INPUT_ERRORS) else 1
+        while isinstance(exc, (SweepCellError, SimulationError)):
+            exc = exc.__cause__
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,9 @@ A token sequence is a plain tuple of strings, so equality, hashing and
 slicing behave the way the rest of the package expects. All record types
 are frozen dataclasses: traces can be shared freely between workers.
 
-Every input file is read here too: text files line by line through
-numbered_lines, JSON files through load_json, their objects through
-read_config, which takes its schema from a dataclass.
+Every text file the package opens is opened here: read by numbered_lines
+(JSON through load_json, its objects through read_config, which takes its
+schema from a dataclass) and written by write_lines.
 """
 
 from __future__ import annotations
@@ -123,17 +123,26 @@ class SessionTrace:
 
 def read_lines(path: str | Path) -> list[str]:
     """The file's lines without their newlines; a file that is not UTF-8 is a CorpusError."""
+    return [line.rstrip("\n") for _, line in numbered_lines(path, CorpusError)]
+
+
+def numbered_lines(path: str | Path, error: type[Exception]):
+    """(line number, line) of a UTF-8 text file, newline kept; a byte that is
+    not UTF-8 raises error("path:line: not UTF-8: ..."). A caller that stops
+    early closes the file by dropping the generator."""
     with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for _, line in numbered_lines(fh, path, CorpusError)]
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise error(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
 
 
-def numbered_lines(fh, path: str | Path, error: type[Exception]):
-    """(line number, line) of a text file; a byte that is not UTF-8 raises
-    error("path:line: not UTF-8: ...")."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as exc:
-        raise error(f"{utf8_error_location(path)}: not UTF-8: {exc.reason}") from exc
+def write_lines(path: str | Path, lines) -> None:
+    """Write each of lines, as they come, plus "\n" to path as UTF-8; the line
+    end is "\n" on every platform, so the bytes do not depend on the machine."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def utf8_error_location(path: str | Path) -> str:
@@ -254,8 +263,7 @@ def _read_value(tp, value, where: str, key: str):
 def load_json(path: str | Path, error: type[Exception]):
     """A JSON file's value; bytes that are not UTF-8 or not JSON raise
     error("path:line: ...")."""
-    with open(path, encoding="utf-8") as fh:
-        text = "".join(line for _, line in numbered_lines(fh, path, error))
+    text = "".join(line for _, line in numbered_lines(path, error))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

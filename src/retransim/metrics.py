@@ -189,6 +189,11 @@ class TradeoffPoint:
         )
 
 
+def csv_lines(points: list[TradeoffPoint]) -> list[str]:
+    """The lines of a sweep CSV: the header, then one row per point."""
+    return [TradeoffPoint.CSV_HEADER] + [point.csv_row() for point in points]
+
+
 def aggregate(
     strategy_label: str,
     traces: list[SessionTrace],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from .core import ConfigError, TokenSeq, load_json, read_config
+from .core import ConfigError, TokenSeq, load_json, read_config, write_lines
 from .translator import _MASK64, EOS, UNK, _avalanche, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
@@ -163,9 +163,7 @@ def save_lm(lm: NgramLM, path: str | Path) -> None:
         },
     }
     # one dumps call: json.dump streams through the pure-Python encoder
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, sort_keys=True)])
 
 
 def _check_counts(counts: dict, where: str) -> None:

@@ -25,7 +25,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
-from .core import ConfigError, _join, load_json, numbered_lines, read_config
+from .core import ConfigError, _join, load_json, numbered_lines, read_config, write_lines
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
 from .strategy import StrategyConfig, emit
@@ -43,7 +43,17 @@ TRACE_SCHEMA_VERSION = 1
 
 
 class SimulationError(Exception):
-    """A translator or predictor failure, annotated with its location."""
+    """A translator or predictor failure, annotated with its location; __cause__
+    is the failure, and a forked child sends it to the parent with its cause."""
+
+    def __reduce__(self):
+        return _with_cause, (type(self), self.args, self.__cause__)
+
+
+def _with_cause(cls, args, cause):
+    exc = cls(*args)
+    exc.__cause__ = cause
+    return exc
 
 
 class TraceError(ValueError):
@@ -138,9 +148,11 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, sort_keys=True, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    """Write cfg as load_run_config reads it; a cfg it would refuse is a
+    ConfigError, and no file is written."""
+    data = cfg.to_dict()
+    RunConfig.from_dict(data, str(path))
+    write_lines(path, [json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2)])
 
 
 def build_translator(spec: dict):
@@ -757,14 +769,15 @@ def _mistyped(before: int, field: str, value, kind: type) -> TraceError:
 
 
 def write_traces(path: str | Path, traces: list[SessionTrace], config: RunConfig) -> None:
-    """Write the run header line, then one JSON line per trace in sentence_id order."""
+    """Write the run header line, then one JSON line per trace in sentence_id order;
+    a config that read_traces would refuse is a ConfigError, and no file is written."""
+    data = config.to_dict()
+    RunConfig.from_dict(data, f"{path}: run header")
     header = {"kind": "run_header", "schema_version": TRACE_SCHEMA_VERSION,
-              "config": config.to_dict(), "config_hash": config_hash(config)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-        encode = _TRACE_ENCODER.encode
-        for trace in sorted(traces, key=lambda tr: tr.sentence_id):
-            fh.write(encode(trace_to_dict(trace)) + "\n")
+              "config": data, "config_hash": config_hash(config)}
+    ordered = sorted(traces, key=lambda tr: tr.sentence_id)
+    lines = map(_TRACE_ENCODER.encode, map(trace_to_dict, ordered))
+    write_lines(path, chain([json.dumps(header, sort_keys=True, ensure_ascii=False)], lines))
 
 
 def read_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
@@ -776,28 +789,27 @@ def read_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
     cfg: RunConfig | None = None
     traces: list[SessionTrace] = []
     strings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh, path, TraceError):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in numbered_lines(path, TraceError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc.msg}") from exc
+        if not isinstance(data, dict):
+            raise TraceError(
+                f"{path}:{lineno}: expected a JSON object, got {type(data).__name__}"
+            )
+        if cfg is None:
+            cfg = _header_config(path, lineno, data)
+        elif data.get("kind") == "run_header":
+            raise TraceError(f"{path}:{lineno}: second run header")
+        else:
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc.msg}") from exc
-            if not isinstance(data, dict):
-                raise TraceError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(data).__name__}"
-                )
-            if cfg is None:
-                cfg = _header_config(path, lineno, data)
-            elif data.get("kind") == "run_header":
-                raise TraceError(f"{path}:{lineno}: second run header")
-            else:
-                try:
-                    traces.append(trace_from_dict(data, strings))
-                except TraceError as exc:
-                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+                traces.append(trace_from_dict(data, strings))
+            except TraceError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     if cfg is None:
         raise TraceError(f"{path}: no run header")
     return cfg, traces

@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from pathlib import Path
 
+from .core import write_lines
+
 SENTENCES = 200
 VOCAB = 50
 MIN_LEN = 3
@@ -229,13 +231,12 @@ def write_synthetic(
     src_lines, ref_lines, lexicon = generate(sentences, vocab, min_len, max_len, seed)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = synthetic_paths(out_dir)
-    Path(paths["source"]).write_text("\n".join(src_lines) + "\n", encoding="utf-8")
-    Path(paths["reference"]).write_text("\n".join(ref_lines) + "\n", encoding="utf-8")
-    with open(paths["lexicon"], "w", encoding="utf-8") as fh:
-        fh.write("# src ||| tgt ||| prob\n")
-        for src_word, entries in lexicon.items():
-            for tgt, prob in entries:
-                fh.write(f"{src_word} ||| {tgt} ||| {prob:.6f}\n")
+    write_lines(paths["source"], src_lines)
+    write_lines(paths["reference"], ref_lines)
+    write_lines(paths["lexicon"], ["# src ||| tgt ||| prob"] + [
+        f"{src_word} ||| {tgt} ||| {prob:.6f}"
+        for src_word, entries in lexicon.items() for tgt, prob in entries
+    ])
     return paths
 
 

@@ -203,20 +203,19 @@ class ScriptedTranslator:
 def load_script(path: str | Path, identity_fallback: bool = False) -> ScriptedTranslator:
     """Parse a tab-separated "source prefix<TAB>translation" file."""
     script: dict[str, TokenSeq] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh, path, ParseError):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'prefix<TAB>translation'")
-            prefix, translation = line.split("\t", 1)
-            key = " ".join(prefix.split())
-            if not key:
-                raise ParseError(f"{path}:{lineno}: empty source prefix")
-            if key in script:
-                raise DuplicatePrefix(f"{path}:{lineno}: duplicate prefix {key!r}")
-            script[key] = tokenize(translation)
+    for lineno, line in numbered_lines(path, ParseError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'prefix<TAB>translation'")
+        prefix, translation = line.split("\t", 1)
+        key = " ".join(prefix.split())
+        if not key:
+            raise ParseError(f"{path}:{lineno}: empty source prefix")
+        if key in script:
+            raise DuplicatePrefix(f"{path}:{lineno}: duplicate prefix {key!r}")
+        script[key] = tokenize(translation)
     return ScriptedTranslator(script, identity_fallback=identity_fallback)
 
 
@@ -664,23 +663,22 @@ def load_lexicon(path: str | Path, **params) -> ToyModelConfig:
     """
     raw: dict[str, list[tuple[str, float]]] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in numbered_lines(fh, path, ParseError):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split("|||")]
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'src ||| tgt ||| prob'")
-            src, tgt, prob_text = parts
-            check_tokens((src, tgt), where=f"{path}:{lineno}")
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
-            _check_probability(src, tgt, prob, f"{path}:{lineno}")
-            raw.setdefault(src, []).append((tgt, prob))
-            first_line.setdefault(src, lineno)
+    for lineno, line in numbered_lines(path, ParseError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split("|||")]
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'src ||| tgt ||| prob'")
+        src, tgt, prob_text = parts
+        check_tokens((src, tgt), where=f"{path}:{lineno}")
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
+        _check_probability(src, tgt, prob, f"{path}:{lineno}")
+        raw.setdefault(src, []).append((tgt, prob))
+        first_line.setdefault(src, lineno)
     for src, entries in raw.items():
         _check_sum(src, entries, f"{path}:{first_line[src]}")
     lexicon = {src: tuple(entries) for src, entries in raw.items()}

@@ -486,6 +486,43 @@ def test_worker_errors_match_serial_errors(workspace, tmp_path, capsys, command)
     assert "sentence 2, step 2" in errors[0] and "'q' not in lexicon" in errors[0]
 
 
+class _OutOfMemory:  # a kernel whose every allocation fails
+    def rt_beam_search_many(self, n_requests, *args):
+        lengths = args[-2]
+        for r in range(n_requests):
+            lengths[r] = translator._KERNEL_NO_MEMORY
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_located_failure_that_is_no_input_error_exits_1(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    _, cfg, cfg_path = workspace
+    monkeypatch.setattr(translator, "_kernel", _OutOfMemory())
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path)]
+    else:
+        spec_path = _write_sweep_spec(tmp_path, cfg)
+        argv = ["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "sentence 0, step 1: beam search kernel: out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_script_miss_exits_2_from_any_shard(workspace, tmp_path, capsys, jobs):
+    """Sentence 0 is scripted and sentence 1 is not: at parallelism 2 the
+    miss that comes first happens in the forked child."""
+    tmp_path, cfg, _ = workspace
+    script = tmp_path / "script.tsv"
+    script.write_text("".join(f"{' '.join('abcda'[:n])}\tx\n" for n in range(1, 6)),
+                      encoding="utf-8")
+    data = {**cfg.to_dict(), "translator": {"kind": "scripted", "script_path": str(script)}}
+    cfg_path = tmp_path / "scripted.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--parallelism", jobs]) == 2
+    assert "error: sentence 1, step 1: no script entry for prefix 'c'" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="workers need fork"
 )

@@ -18,6 +18,8 @@ from retransim.core import (
     read_corpus,
     read_lines,
     tokenize,
+    utf8_error_location,
+    write_lines,
 )
 from retransim.metrics import erased_between
 from conftest import seq, write_corpus
@@ -154,3 +156,19 @@ def test_read_lines_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b"a b\n" * 5000 + b"c \xff d\n")
     with pytest.raises(CorpusError, match=re.escape(f"{path}:5001: not UTF-8")):
         read_lines(path)
+
+
+def test_utf8_error_location_of_a_file_that_decodes_names_no_line(tmp_path):
+    # the file may have changed between the failed read and this call
+    path = tmp_path / "corpus.src"
+    path.write_bytes("a b\nc é\n".encode("utf-8"))
+    assert utf8_error_location(path) == str(path)
+
+
+def test_write_lines_writes_utf8_with_newline_line_ends(tmp_path):
+    path = tmp_path / "out.txt"
+    write_lines(path, iter(["a é", "", "b\tc"]))
+    assert path.read_bytes() == "a é\n\nb\tc\n".encode("utf-8")
+    assert read_lines(path) == ["a é", "", "b\tc"]
+    write_lines(path, [])
+    assert path.read_bytes() == b""

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import time
 
 import pytest
@@ -375,6 +377,36 @@ def test_trace_from_dict_type_checks_step_fields(field, value, kind):
     with pytest.raises(TraceError) as info:
         trace_from_dict(data)
     assert str(info.value) == f"step record 2: {field}: expected {kind}, got {value!r}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_trace_read_leaves_its_file_closed(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_traces(path, [], ROUND_TRIP_CONFIG)
+    header = path.read_text(encoding="utf-8")
+    path.write_text(header + "[1, 2]\n" + header * 3, encoding="utf-8")
+    with pytest.raises(TraceError, match=":2: expected a JSON object") as info:
+        read_traces(path)
+    assert info.value.__traceback__ is not None  # the reader's frame is still referenced
+    targets = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor is gone
+            targets.add(os.readlink(f"/proc/self/fd/{fd}"))
+    assert str(path) not in targets
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, cfg: write_traces(path, [], cfg),
+    lambda path, cfg: save_run_config(cfg, path),
+], ids=["write_traces", "save_run_config"])
+def test_writers_refuse_a_config_their_readers_refuse(tmp_path, write):
+    # built directly, so no reader has checked it
+    cfg = RunConfig(source_path="(mem)", reference_path="(mem)", translator={"kind": "scripted"},
+                    strategy=StrategyConfig("none"), seed=1.5)
+    path = tmp_path / "out.json"
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}")):
+        write(path, cfg)
+    assert not path.exists()
 
 
 def test_schema_version_mismatch(tmp_path):

@@ -4,7 +4,9 @@ import copy
 import dataclasses
 import logging
 import math
+import os
 import random
+import re
 import shutil
 
 import pytest
@@ -642,6 +644,25 @@ def test_kernel_falls_back_with_a_warning_without_compiler(tmp_path, monkeypatch
         assert translator._load_kernel() is None
     assert len(caplog.records) == 1
     assert "using the Python beam search" in caplog.text
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the failing compiler is a shell script")
+def test_kernel_build_failure_names_the_exit_code_and_stderr(tmp_path, monkeypatch, caplog):
+    cc = tmp_path / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: error: bad flag' >&2\nexit 1\n", encoding="utf-8")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    # a new cache key, so no cached build answers
+    monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
+    cache = translator._KERNEL_SOURCE.parent / "__pycache__"
+    before = sorted(cache.glob("_beam.*"))
+    with pytest.raises(OSError, match=f"^{re.escape(str(cc))} exited 1: cc: error: bad flag$"):
+        translator._build_kernel()
+    with caplog.at_level(logging.WARNING, logger="retransim.translator"):
+        assert translator._load_kernel() is None
+    assert len(caplog.records) == 1
+    assert "cc: error: bad flag" in caplog.text
+    assert sorted(cache.glob("_beam.*")) == before  # no temporary left, no build removed
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
