@@ -13,14 +13,14 @@
  *     descending score, so ties keep pool order;
  *   - h / (2^64 - 1) is rounded as Python's int / int is (rt_unit_interval).
  *
- * Input rows, one per source position, packed without padding in native
- * byte order:
- *   int32 count, then count entries of (uint64 fnv_state, double prob,
- *   int32 token_id).
+ * The row table, built once per translator, holds one row per source token,
+ * packed without padding in native byte order:
+ *   int32 text_bytes, the token's text_bytes UTF-8 bytes, int32 count, then
+ *   count entries of (uint64 fnv_state, double prob, int32 token_id).
  * Token id RT_EOS is end-of-sentence.
  *
  * rt_beam_search_many, the entry that Python calls, runs rt_beam_search on
- * a batch of source prefixes.
+ * a batch of source prefixes, each naming its rows by their table offsets.
  */
 
 #include <math.h>
@@ -32,7 +32,7 @@
 #define RT_MIN_PROB 1e-300
 #define RT_GOLDEN UINT64_C(0x9E3779B97F4A7C15)
 #define RT_ENTRY_BYTES (8 + 8 + 4)
-#define RT_REQUEST_BYTES (4 + 4 + 4 + 8 + 8)
+#define RT_REQUEST_BYTES (4 + 4 + 8 + 8)
 
 /* Returned instead of a length: the only status. */
 #define RT_NO_MEMORY (-2)
@@ -47,8 +47,8 @@ static uint64_t avalanche(uint64_t x)
     return x;
 }
 
-/* FNV-1a over n bytes from state h: the prefix state of the noise hash. */
-uint64_t rt_fnv1a64(const unsigned char *data, size_t n, uint64_t h)
+/* FNV-1a over n bytes from state h. */
+static uint64_t fnv1a64(const unsigned char *data, size_t n, uint64_t h)
 {
     for (size_t i = 0; i < n; i++) {
         h ^= data[i];
@@ -107,24 +107,45 @@ static void keep_best(cand *best, int32_t *count, int32_t cap, const cand *c)
         (*count)++;
 }
 
+typedef struct {
+    const unsigned char *text, *entries;
+    int32_t text_bytes, count;
+} row;
+
+/* The row that the j-th of a request's offsets names. */
+static row row_at(const unsigned char *table, const unsigned char *offsets, int32_t j)
+{
+    int64_t offset;
+    row r;
+    memcpy(&offset, offsets + (size_t)j * sizeof offset, sizeof offset);
+    memcpy(&r.text_bytes, table + offset, 4);
+    r.text = table + offset + 4;
+    memcpy(&r.count, r.text + r.text_bytes, 4);
+    r.entries = r.text + r.text_bytes + 4;
+    return r;
+}
+
 /*
- * Decode one source prefix of n positions. The best hypothesis's tokens go
- * to out_tokens (room for n), its score to out_score, and its length is
+ * Decode one source prefix of n positions, the rows that n offsets name.
+ * The noise hash's prefix state is the FNV-1a, from seed_state, of the
+ * rows' tokens joined by 0x1F. The best hypothesis's tokens go to
+ * out_tokens (room for n), its score to out_score, and its length is
  * returned, or RT_NO_MEMORY.
  */
-int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_state,
-                       double instability, double distortion, double eos_weight,
-                       double max_len_ratio, int32_t beam_size, const int32_t *prev,
-                       int32_t n_prev, double beta, int32_t *out_tokens,
+int32_t rt_beam_search(const unsigned char *table, const unsigned char *offsets, int32_t n,
+                       uint64_t seed_state, double instability, double distortion,
+                       double eos_weight, double max_len_ratio, int32_t beam_size,
+                       const int32_t *prev, int32_t n_prev, double beta, int32_t *out_tokens,
                        double *out_score)
 {
     size_t un = (size_t)n, n_entries = 0;
-    const unsigned char *at = rows;
+    uint64_t prefix_state = seed_state;
     for (int32_t j = 0; j < n; j++) {
-        int32_t count;
-        memcpy(&count, at, 4);
-        at += 4 + (size_t)count * RT_ENTRY_BYTES;
-        n_entries += (size_t)count;
+        row r = row_at(table, offsets, j);
+        if (j > 0)
+            prefix_state = fnv1a64((const unsigned char *)"\x1f", 1, prefix_state);
+        prefix_state = fnv1a64(r.text, (size_t)r.text_bytes, prefix_state);
+        n_entries += (size_t)r.count;
     }
     /* A hypothesis has at most n_entries + 1 children, so the beam never
      * holds more than (n_entries + 1)^(n + 1) of them: a wider beam_size
@@ -164,17 +185,14 @@ int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_sta
     unsigned char *next_cov = TAKE(unsigned char, ub * un);
 #undef TAKE
 
-    at = rows;
     int32_t e = 0;
     for (int32_t j = 0; j < n; j++) {
-        int32_t count;
-        memcpy(&count, at, 4);
-        at += 4;
+        row r = row_at(table, offsets, j);
         row_start[j] = e;
-        for (int32_t i = 0; i < count; i++, e++, at += RT_ENTRY_BYTES) {
-            memcpy(&state[e], at, 8);
-            memcpy(&prob[e], at + 8, 8);
-            memcpy(&token[e], at + 16, 4);
+        for (int32_t i = 0; i < r.count; i++, e++, r.entries += RT_ENTRY_BYTES) {
+            memcpy(&state[e], r.entries, 8);
+            memcpy(&prob[e], r.entries + 8, 8);
+            memcpy(&token[e], r.entries + 16, 4);
             pos[e] = j;
             factor_step[e] = -1;
         }
@@ -302,52 +320,35 @@ int32_t rt_beam_search(const unsigned char *rows, int32_t n, uint64_t prefix_sta
     return result;
 }
 
-/* The first byte after n rows. */
-static const unsigned char *skip_rows(const unsigned char *rows, int32_t n)
-{
-    for (int32_t j = 0; j < n; j++) {
-        int32_t count;
-        memcpy(&count, rows, 4);
-        rows += 4 + (size_t)count * RT_ENTRY_BYTES;
-    }
-    return rows;
-}
-
 /*
  * Decode n_requests source prefixes with one decoder configuration.
- * requests holds one record per request, packed like the rows:
+ * requests holds one record per request, packed like the table:
  *   int32 n (source length), int32 n_prev (bias: previous output length),
- *   int32 text_bytes, double eos_weight, double beta (bias weight).
- * rows, texts and prev hold the requests' n rows, their sources' UTF-8
- * bytes joined by 0x1F (the noise hash's blob; empty without noise) and
- * their previous outputs' token ids, each request's right after the
- * last one's. The prefix state is the FNV-1a of the text from seed_state.
- * Request r's tokens go to out_tokens after the earlier requests' n
- * slots, its length (or RT_NO_MEMORY) to
+ *   double eos_weight, double beta (bias weight), then n int64 offsets of
+ *   the source's rows in table, in source order.
+ * prev holds the requests' previous outputs' token ids, each request's
+ * right after the last one's. Request r's tokens go to out_tokens after
+ * the earlier requests' n slots, its length (or RT_NO_MEMORY) to
  * out_lengths[r] and its score to out_scores[r].
  */
 void rt_beam_search_many(int32_t n_requests, const unsigned char *requests,
-                         const unsigned char *rows, const unsigned char *texts,
-                         const int32_t *prev, uint64_t seed_state, double instability,
-                         double distortion, double max_len_ratio, int32_t beam_size,
-                         int32_t *out_tokens, int32_t *out_lengths, double *out_scores)
+                         const unsigned char *table, const int32_t *prev, uint64_t seed_state,
+                         double instability, double distortion, double max_len_ratio,
+                         int32_t beam_size, int32_t *out_tokens, int32_t *out_lengths,
+                         double *out_scores)
 {
-    for (int32_t r = 0; r < n_requests; r++, requests += RT_REQUEST_BYTES) {
-        int32_t n, n_prev, text_bytes;
+    for (int32_t r = 0; r < n_requests; r++) {
+        int32_t n, n_prev;
         double eos_weight, beta;
         memcpy(&n, requests, 4);
         memcpy(&n_prev, requests + 4, 4);
-        memcpy(&text_bytes, requests + 8, 4);
-        memcpy(&eos_weight, requests + 12, 8);
-        memcpy(&beta, requests + 20, 8);
-        uint64_t prefix_state = 0;
-        if (instability > 0.0)
-            prefix_state = rt_fnv1a64(texts, (size_t)text_bytes, seed_state);
-        out_lengths[r] = rt_beam_search(rows, n, prefix_state, instability, distortion,
+        memcpy(&eos_weight, requests + 8, 8);
+        memcpy(&beta, requests + 16, 8);
+        requests += RT_REQUEST_BYTES;
+        out_lengths[r] = rt_beam_search(table, requests, n, seed_state, instability, distortion,
                                         eos_weight, max_len_ratio, beam_size, prev, n_prev,
                                         beta, out_tokens, &out_scores[r]);
-        rows = skip_rows(rows, n);
-        texts += text_bytes;
+        requests += (size_t)n * sizeof(int64_t);
         prev += n_prev;
         out_tokens += n;
     }

@@ -3,7 +3,7 @@
 Subcommands: train-lm, run, sweep, metrics (recompute from traces),
 mask-hist, make-synthetic. Results are tidy CSV / JSONL for downstream
 plotting; nothing is rendered in-process. Exit codes: 0 success,
-1 internal error, 2 bad input or config.
+1 internal error or a closed standard output, 2 bad input or config.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -283,7 +284,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader left; what stays buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SweepCellError, SimulationError) as exc:  # exits by the error it locates
         print(f"error: {exc}", file=sys.stderr)
         while isinstance(exc, (SweepCellError, SimulationError)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from .core import ConfigError, TokenSeq, load_json, read_config, write_lines
+from .core import ConfigError, TokenSeq, check_tokens, load_json, read_config, write_lines
 from .translator import _MASK64, EOS, UNK, _avalanche, mix64
 
 LM_FORMAT = "retransim-ngram-lm"
@@ -203,6 +203,10 @@ def load_lm(path: str | Path) -> NgramLM:
     keys = {key: value for key, value in payload.items() if key not in ("format", "version")}
     try:
         lm = read_config(_LMFile, keys, str(path))
+        # a token that the corpus reader would split or drop is no LM token
+        check_tokens(lm.vocabulary, "vocabulary")
+        counted = (tok for ts in lm.counts.values() for table in ts.values() for tok in table)
+        check_tokens(tuple(dict.fromkeys(counted)), "counts")
         counts = {
             int(order): {
                 tuple(ctx.split("\x1f")) if ctx else (): table for ctx, table in tables.items()
@@ -212,7 +216,7 @@ def load_lm(path: str | Path) -> NgramLM:
         return NgramLM(lm.order, counts, set(lm.vocabulary) - {UNK, EOS}, lm.smoothing_alpha)
     except ConfigError as exc:
         raise LMFormatError(str(exc)) from exc
-    except ValueError as exc:  # NgramLM's range checks
+    except ValueError as exc:  # the token checks and NgramLM's range checks
         raise LMFormatError(f"{path}: {exc}") from exc
 
 

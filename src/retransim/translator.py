@@ -366,12 +366,12 @@ _KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_NO_MEMORY = -2  # RT_NO_MEMORY in _beam.c
 _INT32_MAX = 2**31 - 1
-# a row of the kernel's input: entry count, then (fnv state, prob, token id)
-_ROW_COUNT = struct.Struct("=i")
+# an entry of a row of the kernel's table: fnv state, prob, token id
 _ROW_ENTRY = struct.Struct("=Qdi")
-# a request of the kernel's batch: n, previous output length, text bytes,
-# eos weight, beta
-_REQUEST = struct.Struct("=iiidd")
+# a request of the kernel's batch: n, previous output length, eos weight,
+# beta; the table offsets of its n rows follow it
+_REQUEST = struct.Struct("=iidd")
+_OFFSET = struct.Struct("=q")
 
 
 def _build_kernel() -> Path:
@@ -422,8 +422,7 @@ def _load_kernel() -> ctypes.CDLL | None:
     kernel.rt_beam_search_many.argtypes = (
         c_i32,  # request count
         ctypes.c_char_p,  # requests
-        ctypes.c_char_p,  # rows
-        ctypes.c_char_p,  # texts
+        ctypes.c_char_p,  # row table
         ctypes.POINTER(c_i32),  # bias: previous outputs' token ids
         ctypes.c_uint64,  # seed state
         c_f64,  # instability
@@ -462,12 +461,15 @@ class ToyLexicalTranslator:
         ))
         self._ids = {tgt: i for i, tgt in enumerate(self._targets)}
         self._token_states = states = {tgt: _token_state(tgt) for tgt in self._targets}
-        # the kernel's packed lexicon row per source token (see _beam.c)
-        self._rows = {
-            src: _ROW_COUNT.pack(len(entries))
-            + b"".join(_ROW_ENTRY.pack(states[tgt], p, self._ids[tgt]) for tgt, p in entries)
-            for src, entries in self._entries.items()
-        }
+        # the kernel's row table (see _beam.c), one row per source token, and
+        # each row's packed offset in it
+        table, self._offsets = bytearray(), {}
+        for src, entries in self._entries.items():
+            text = src.encode("utf-8")
+            self._offsets[src] = _OFFSET.pack(len(table))
+            table += struct.pack(f"=i{len(text)}si", len(text), text, len(entries))
+            table += b"".join(_ROW_ENTRY.pack(states[tgt], p, self._ids[tgt]) for tgt, p in entries)
+        self._table = bytes(table)
         self._seed_state = _avalanche(config.seed & _MASK64)
 
     def translate(
@@ -484,41 +486,36 @@ class ToyLexicalTranslator:
         if _kernel is None:
             return _one_by_one(self._python_beam_search, requests)
         cfg = self.config
-        rows, ids, noisy, pack = self._rows, self._ids, cfg.instability > 0, _REQUEST.pack
+        offsets, ids, pack = self._offsets, self._ids, _REQUEST.pack
         results: list = [None] * len(requests)
         decoded: list[int] = []  # indices of the requests the kernel decodes
-        sizes, packed, packed_rows, texts, prev = [], [], [], [], []
+        sizes, packed, prev = [], [], []
         for r, (source, bias, source_is_final) in enumerate(requests):
             if not source:
                 results[r] = ValueError("source must be non-empty")
                 continue
             try:
-                packed_rows += [rows[tok] for tok in source]
+                rows = b"".join(map(offsets.__getitem__, source))
             except KeyError as missing:
                 results[r] = _unknown(missing)
                 continue
-            n_prev, beta, n_text = 0, 0.0, 0
+            n_prev, beta = 0, 0.0
             if bias is not None and bias.beta > 0.0 and bias.previous_output:
                 n_prev, beta = len(bias.previous_output), bias.beta
                 prev += [ids.get(t, -1) for t in bias.previous_output]
-            if noisy:
-                text = "\x1f".join(source).encode("utf-8")  # as in _prefix_state
-                texts.append(text)
-                n_text = len(text)
             eos = _eos_weight(cfg, source, source_is_final)
-            packed.append(pack(len(source), n_prev, n_text, eos, beta))
+            packed += (pack(len(source), n_prev, eos, beta), rows)
             decoded.append(r)
             sizes.append(len(source))
         if not decoded:
             return results
-        out = (ctypes.c_int32 * len(packed_rows))()  # room for one token per source position
+        out = (ctypes.c_int32 * sum(sizes))()  # room for one token per source position
         lengths = (ctypes.c_int32 * len(decoded))()
         scores = (ctypes.c_double * len(decoded))()
         _kernel.rt_beam_search_many(
             len(decoded),
             b"".join(packed),
-            b"".join(packed_rows),
-            b"".join(texts),
+            self._table,
             (ctypes.c_int32 * len(prev))(*prev),
             self._seed_state,
             cfg.instability,
@@ -629,7 +626,6 @@ class CachingTranslator:
         source_is_final: bool = False,
     ) -> Translation:
         request = (source, bias, source_is_final)
-        # a bias that changes nothing is never a key: translate_many keys it
         hit = self._cache.get(request)
         if hit is None:
             hit = self.translate_many([request])[0]
@@ -639,19 +635,10 @@ class CachingTranslator:
         """Each request's result; the distinct misses go to the inner
         translator in one translate_many call."""
         cache = self._cache
-        keys = []
-        misses: dict[tuple, Request] = {}
-        for request in requests:
-            key = request
-            source, bias, source_is_final = request
-            if bias is not None and not (bias.beta > 0.0 and bias.previous_output):
-                key = (source, None, source_is_final)  # a bias that changes nothing
-            if key not in cache:
-                misses.setdefault(key, request)
-            keys.append(key)
+        misses = [request for request in dict.fromkeys(requests) if request not in cache]
         if misses:
-            cache.update(zip(misses, self.inner.translate_many(list(misses.values()))))
-        return [cache[key] for key in keys]
+            cache.update(zip(misses, self.inner.translate_many(misses)))
+        return [cache[request] for request in requests]
 
 
 def load_lexicon(path: str | Path, **params) -> ToyModelConfig:

@@ -7,6 +7,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -508,6 +510,28 @@ def test_a_located_failure_that_is_no_input_error_exits_1(
     assert "sentence 0, step 1: beam search kernel: out of memory" in capsys.readouterr().err
 
 
+# buffered, the write fails when main flushes; unbuffered, in the command
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_standard_output_exits_1_without_a_message(workspace, buffered):
+    tmp_path, _, cfg_path = workspace
+    traces = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--traces-out", str(traces)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "retransim.cli", "mask-hist", "--traces", str(traces)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()  # before the interpreter has started, so before any write
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert err == b""  # no "internal error" and no "Exception ignored" at exit
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_script_miss_exits_2_from_any_shard(workspace, tmp_path, capsys, jobs):
     """Sentence 0 is scripted and sentence 1 is not: at parallelism 2 the
@@ -737,6 +761,13 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
         ({"lm.json": json.dumps({"format": LM_FORMAT, "version": 99})},
          ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "lm_greedy",
           "--lm", "lm.json"], "lm.json: version 99 unsupported (expected 1)"),
+        # a token the corpus reader would split in two: refused on loading, not mid-run
+        ({"lm.json": json.dumps({"format": LM_FORMAT, "version": 1, "order": 1,
+                                 "smoothing_alpha": 0.1, "vocabulary": ["a", "zz top"],
+                                 "counts": {"1": {"": {"a": 1, "zz top": 1}}}})},
+         ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "lm_sample",
+          "--pred-k", "2", "--pred-n", "2", "--lm", "lm.json"],
+         "lm.json: invalid token 'zz top' in vocabulary"),
         ({}, ["run", "--config", "run.json", "--beta", "1.5"],
          "flags over run.json: bad run config: strategy: bias_beta must be in [0, 1]"),
         ({}, ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "random",
@@ -745,7 +776,7 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
     ],
     ids=["script-empty-prefix", "empty-trace-file", "train-lm-empty-source",
          "lexicon-empty-source", "min-len", "vocab", "negative-seed", "synthetic-instability",
-         "synthetic-instability-nan", "lm-version", "beta", "pred-n"],
+         "synthetic-instability-nan", "lm-version", "lm-token", "beta", "pred-n"],
 )
 def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch, capsys, files,
                                                           argv, problem):

@@ -394,6 +394,8 @@ def test_bad_run_header_exits_2(files, monkeypatch, capsys, command, path, value
         ("smoothing_alpha", 0, "smoothing_alpha"),
         ("smoothing_alpha", float("nan"), "smoothing_alpha"),
         ("extra", 1, "extra"),
+        ("vocabulary", ["a", ""], "invalid token '' in vocabulary"),
+        ("counts", {"1": {"": {"a": 1, "zz top": 1}}}, "invalid token 'zz top' in counts"),
     ],
 )
 def test_bad_lm_file_exits_2(files, monkeypatch, capsys, key, value, named):

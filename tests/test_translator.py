@@ -490,7 +490,8 @@ def test_decoder_noise_matches_public_contract():
 # Compiled beam search
 # ---------------------------------------------------------------------------
 
-SOURCE_WORDS = ("a", "b", "c", "d")
+# multi-character and multi-byte words too: the kernel hashes each token's bytes
+SOURCE_WORDS = ("a", "b", "c", "d", "straße", "沈黙")
 TARGET_WORDS = ("t1", "t2", "t3", "t4", "t5", "t6")
 
 
@@ -751,8 +752,8 @@ def test_decoding_leaves_the_translators_tables_as_built(monkeypatch, kernel):
     lex = {"a": (("x", 0.6), ("y", 0.4)), "b": (("z", 1.0),), "c": (("w", 1.0),)}
     tr = ToyLexicalTranslator(ToyModelConfig(lexicon=lex, instability=0.9, seed=4))
     built = copy.deepcopy(vars(tr))
-    # every source row, UNK's included, is packed before any request
-    assert set(tr._rows) == {*lex, UNK}
+    # every source row, UNK's included, is in the table before any request
+    assert set(tr._offsets) == {*lex, UNK}
     assert set(tr._ids) == set(tr._token_states) == {EOS, UNK, "x", "y", "z", "w"}
     monkeypatch.setattr(translator, "_kernel", kernel)
     requests = [(seq("a b"), None, False), (seq("c a b"), BiasSpec(seq("w q"), 0.5), True),
@@ -778,7 +779,7 @@ def test_caching_translator_sends_each_miss_once_and_keeps_errors():
     assert [_status(r) for r in got] == [
         translator.Translation(("a",), 0.0), (ScriptMiss, "miss"), translator.Translation(("a",), 0.0),
     ]
-    assert batches == [[unbiased, (("q",), None, False)]]  # a zero bias is no bias
+    assert batches == [[unbiased, (("q",), None, False), idle]]  # a zero bias is a key of its own
     assert cached.translate(("a",)).tokens == ("a",) and len(batches) == 1
     with pytest.raises(ScriptMiss, match="^miss$"):
         cached.translate(("q",))
