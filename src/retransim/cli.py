@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -133,7 +134,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = dataclasses.replace(spec, base=base)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_sweep(spec, traces_dir=out_dir if args.traces else None)
+    results = run_sweep(spec)
+    if args.traces:  # every cell is scored by now; each file appears whole or not at all
+        for cell, _, traces in results:
+            tmp = out_dir / (re.sub(r"[^A-Za-z0-9._=,+-]", "_", cell.label) + ".jsonl.tmp")
+            write_traces(tmp, traces, dataclasses.replace(spec.base, strategy=cell))
+            os.replace(tmp, tmp.with_suffix(""))
     points = [point for _, point, _ in results]
     lines = csv_lines(points)
     csv_path = out_dir / "sweep.csv"

@@ -47,8 +47,9 @@ class NgramLM:
 
     counts[o] maps a context tuple of o-1 tokens to {token: count}. Every
     training sentence is implicitly terminated by EOS; the vocabulary
-    always contains UNK and EOS. A context never observed at one order
-    backs off to the next shorter context, bottoming out at unigrams.
+    always contains UNK and EOS, and its tokens pass check_tokens, as
+    load_lm requires. A context never observed at one order backs off to
+    the next shorter context, bottoming out at unigrams.
     """
 
     def __init__(
@@ -68,7 +69,8 @@ class NgramLM:
         self.counts = counts
         self.vocabulary = frozenset(vocabulary) | {UNK, EOS}
         self.smoothing_alpha = smoothing_alpha
-        self._sorted_vocab = tuple(sorted(self.vocabulary))
+        # checked in sorted order, so the token an error names is the same every run
+        self._sorted_vocab = check_tokens(tuple(sorted(self.vocabulary)), "vocabulary")
         # sampling tables, built on first use: one per resolved count
         # table, shared by every context that backs off to it
         self._by_table: dict[tuple, tuple[array, str]] = {}
@@ -202,21 +204,22 @@ def load_lm(path: str | Path) -> NgramLM:
         )
     keys = {key: value for key, value in payload.items() if key not in ("format", "version")}
     try:
-        lm = read_config(_LMFile, keys, str(path))
-        # a token that the corpus reader would split or drop is no LM token
-        check_tokens(lm.vocabulary, "vocabulary")
-        counted = (tok for ts in lm.counts.values() for table in ts.values() for tok in table)
-        check_tokens(tuple(dict.fromkeys(counted)), "counts")
+        data = read_config(_LMFile, keys, str(path))
         counts = {
             int(order): {
                 tuple(ctx.split("\x1f")) if ctx else (): table for ctx, table in tables.items()
             }
-            for order, tables in lm.counts.items()
+            for order, tables in data.counts.items()
         }
-        return NgramLM(lm.order, counts, set(lm.vocabulary) - {UNK, EOS}, lm.smoothing_alpha)
+        lm = NgramLM(data.order, counts, data.vocabulary, data.smoothing_alpha)
+        # after NgramLM's vocabulary check: a file's counts, unlike
+        # train_lm's, can name tokens outside its vocabulary
+        counted = (tok for ts in data.counts.values() for table in ts.values() for tok in table)
+        check_tokens(tuple(dict.fromkeys(counted)), "counts")
+        return lm
     except ConfigError as exc:
         raise LMFormatError(str(exc)) from exc
-    except ValueError as exc:  # the token checks and NgramLM's range checks
+    except ValueError as exc:  # NgramLM's checks and the counted tokens' check
         raise LMFormatError(f"{path}: {exc}") from exc
 
 
@@ -250,6 +253,16 @@ class PredictorConfig:
         return f"{self.strategy},k={self.k},n={self.n}"
 
 
+def check_lm(predictor: PredictorConfig | None, lm: NgramLM | None) -> None:
+    """Raise MissingLM if the predictor needs an LM and lm is None: the one
+    statement of which predictors need one."""
+    if lm is None and predictor is not None and predictor.strategy in ("lm_sample", "lm_greedy"):
+        raise MissingLM(
+            f"strategy {predictor.strategy} needs an LM: run's --lm, or lm_path "
+            "in a run config or a sweep's base config (see train-lm)"
+        )
+
+
 def predict_extensions(
     cfg: PredictorConfig,
     lm: NgramLM | None,
@@ -266,8 +279,7 @@ def predict_extensions(
     """
     if not prefix:
         raise ValueError("prefix must be non-empty")
-    if cfg.strategy in ("lm_sample", "lm_greedy") and lm is None:
-        raise MissingLM(f"strategy {cfg.strategy} requires a language model")
+    check_lm(cfg, lm)
 
     if cfg.strategy == "unknown":
         return [tuple(prefix) + (UNK,) * cfg.k]

@@ -17,8 +17,6 @@ import hashlib
 import json
 import multiprocessing
 import operator
-import os
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -27,7 +25,8 @@ from pathlib import Path
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
 from .core import ConfigError, _join, load_json, numbered_lines, read_config, write_lines
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
-from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, load_lm, predict_extensions
+from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, check_lm, load_lm
+from .predict import predict_extensions
 from .strategy import StrategyConfig, emit
 from .translator import (
     BiasSpec,
@@ -193,20 +192,10 @@ def load_models(cfg: RunConfig, pairs: list[SentencePair]) -> Models:
     return Models(translator=translator, lm=lm, vocab=vocab)
 
 
-def check_lm(strategy: StrategyConfig, lm: NgramLM | None) -> None:
-    """Raise MissingLM if the strategy's predictor needs an LM and none is loaded."""
-    if strategy.predictor is None or lm is not None:
-        return
-    if strategy.predictor.strategy in ("lm_sample", "lm_greedy"):
-        raise MissingLM(
-            f"strategy {strategy.predictor.strategy} needs an LM: run's --lm, or lm_path "
-            "in a run config or a sweep's base config (see train-lm)"
-        )
-
-
-def _takes_probes(strategy: StrategyConfig, is_final: bool) -> bool:
-    """Whether a step translates probe extensions: dynamic masking, non-final."""
-    return strategy.kind == "dynamic" and not is_final
+def _takes_probes(predictor: PredictorConfig | None, is_final: bool) -> bool:
+    """Whether a step translates probe extensions: a non-final step under a
+    predictor (a probe key, or the strategy's), which only dynamic masking holds."""
+    return predictor is not None and not is_final
 
 
 def _step_record(
@@ -263,7 +252,7 @@ def run_sentence(
         probe_outputs: tuple[TokenSeq, ...] = ()
         try:
             hyp = translator.translate(prefix, bias, is_final).tokens
-            if _takes_probes(strat, is_final):
+            if _takes_probes(predictor, is_final):
                 extensions = memo.extensions(predictor, i)
                 probe_outputs = tuple(
                     [translator.translate(ext, bias, False).tokens for ext in extensions]
@@ -365,7 +354,7 @@ class _SentenceMemo:
         predictor that fails adds none; the step raises its error itself."""
         is_final = step == len(self.prefixes)
         requests = [(self.prefixes[step - 1], bias, is_final)]
-        if predictor is not None and not is_final:
+        if _takes_probes(predictor, is_final):
             try:
                 extensions = self.extensions(predictor, step)
             except Exception:  # raised again by the step that needs the probes
@@ -400,7 +389,7 @@ def _run_configs(
         models = load_models(base, pairs)
     for index, cfg in enumerate(cfgs):
         try:
-            check_lm(cfg.strategy, models.lm)
+            check_lm(cfg.strategy.predictor, models.lm)
         except MissingLM as exc:
             return [], (index, exc)
     return _simulate(cfgs, pairs, models, base.parallelism)
@@ -598,10 +587,9 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     return SweepSpec.from_dict(load_json(path, ConfigError), str(path))
 
 
-def run_sweep(
-    spec: SweepSpec, traces_dir: str | Path | None = None
-) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
-    """Run every cell; results come back sorted by strategy label.
+def run_sweep(spec: SweepSpec) -> list[tuple[StrategyConfig, TradeoffPoint, list[SessionTrace]]]:
+    """Run and score every cell; (cell, point, traces) come back sorted by
+    strategy label. Like run_corpus, it writes no file.
 
     The base config supplies the corpus, models and run settings; its
     strategy is not run. Every cell's LM needs are checked before any
@@ -610,15 +598,11 @@ def run_sweep(
     probe draws across cells; that is sound because translators and
     predictors are pure functions of their inputs. With
     spec.base.parallelism > 1 each process (see _simulate) does so over
-    its shard of sentences. With traces_dir, which is made before any
-    sentence is simulated, each cell's traces are written there as
-    <label>.jsonl.
+    its shard of sentences. The first cell that fails, in simulation or
+    in its metrics, is raised as a SweepCellError naming its label.
     """
     cells = spec.cells()
     cfgs = [dataclasses.replace(spec.base, strategy=cell) for cell in cells]
-    if traces_dir is not None:
-        traces_dir = Path(traces_dir)
-        traces_dir.mkdir(parents=True, exist_ok=True)
     traces, failure = _run_configs(spec.base, cfgs)
     if failure is not None:
         index, exc = failure
@@ -630,17 +614,9 @@ def run_sweep(
             point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
         except MetricsError as exc:
             raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
-        if traces_dir is not None:  # <label>.jsonl appears whole or not at all
-            tmp = traces_dir / (_safe_filename(cell.label) + ".jsonl.tmp")
-            write_traces(tmp, cell_traces, cfg)
-            os.replace(tmp, tmp.with_suffix(""))
         results.append((cell, point, cell_traces))
     results.sort(key=lambda item: item[0].label)
     return results
-
-
-def _safe_filename(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._=,+-]", "_", label)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +854,8 @@ def validate_trace(trace: SessionTrace, strategy: StrategyConfig) -> None:
     full = trace.records[-1].raw_hypothesis
     previous: TokenSeq = ()
     # whether the policy takes probes on a non-final step, and on the final one
-    takes_probes = (_takes_probes(strategy, False), _takes_probes(strategy, True))
+    takes_probes = (_takes_probes(strategy.predictor, False),
+                    _takes_probes(strategy.predictor, True))
     for pos, rec in enumerate(trace.records, start=1):
         is_final = pos == len(source)
         probes = rec.probes if takes_probes[is_final] else ()

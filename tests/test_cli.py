@@ -711,6 +711,21 @@ def _erasing_sweep(ne_mode, problem):
     return case
 
 
+def _erasing_second_sweep_cell(tmp_path, cfg_path):
+    """A sweep with --traces whose first cell, mask_k=5, scores, and whose
+    second, mask_k=1, erases the one token it showed at the final step."""
+    src, ref = write_corpus(tmp_path, ["a b"], ["x"])
+    script = tmp_path / "script.tsv"
+    script.write_text("a\tp q\na b\t\n", encoding="utf-8")
+    base = {"source_path": str(src), "reference_path": str(ref),
+            "translator": {"kind": "scripted", "script_path": str(script)},
+            "strategy": {"kind": "none"}}
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": base, "axes": {"k_mask": [5, 1]}}), encoding="utf-8")
+    return (["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out"), "--traces"],
+            "cell 'mask_k=1': sentence 0: 1 tokens erased but final output is empty")
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -722,6 +737,7 @@ def _erasing_sweep(ne_mode, problem):
                                     "empty"), id="sweep-erases-to-empty"),
         pytest.param(_erasing_sweep("corpus", "erasure with empty final outputs"),
                      id="sweep-erases-to-empty-corpus-ne"),
+        pytest.param(_erasing_second_sweep_cell, id="sweep-second-cell-erases-to-empty"),
     ],
 )
 def test_input_boundary_exits_2_naming_the_problem(workspace, capsys, case):
@@ -732,6 +748,8 @@ def test_input_boundary_exits_2_naming_the_problem(workspace, capsys, case):
     captured = capsys.readouterr()
     assert f"error: {problem}" in captured.err
     assert captured.out == ""
+    # a failing sweep writes no file, not even the cells scored before the failure
+    assert list(tmp_path.glob("out/*")) == []
 
 
 _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]

@@ -3,13 +3,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retransim import predict
-from retransim.core import read_lines, tokenize
+from retransim.core import CorpusError, read_lines, tokenize
 from retransim.predict import (
     EOS,
     UNK,
@@ -173,6 +174,9 @@ def test_train_lm_validation():
         train_lm([seq("a")], order=5)
     with pytest.raises(ValueError):
         train_lm([seq("a")], order=2, smoothing_alpha=0.0)
+    # a token the corpus reader would split in two, refused as load_lm refuses it
+    with pytest.raises(CorpusError, match="invalid token 'zz top' in vocabulary"):
+        train_lm([("zz top", "a")], order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,28 @@ def test_lm_round_trip(tmp_path, bigram_lm):
     path2 = tmp_path / "lm2.json"
     save_lm(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    corpus=st.lists(
+        st.lists(st.sampled_from(["a", "b", "ß", "沈黙", "zz top", "", "x\x1fy", "\t"]),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ),
+    order=st.integers(1, 3),
+)
+def test_a_trained_lm_loads_back_or_is_refused_when_trained(tmp_path_factory, corpus, order):
+    bad = sorted(tok for sent in corpus for tok in sent if not tok or any(map(str.isspace, tok)))
+    if bad:  # the first bad token in sorted order, whatever the corpus order
+        with pytest.raises(CorpusError, match=f"^invalid token {re.escape(repr(bad[0]))} in"):
+            train_lm(corpus, order=order)
+        return
+    lm = train_lm(corpus, order=order)
+    path = tmp_path_factory.mktemp("lm") / "lm.json"
+    save_lm(lm, path)
+    loaded = load_lm(path)
+    assert (loaded.order, loaded.vocabulary, loaded.counts) == (lm.order, lm.vocabulary, lm.counts)
 
 
 def test_retraining_is_byte_identical(tmp_path):

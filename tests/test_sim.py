@@ -38,7 +38,13 @@ from retransim.sim import (
     write_traces,
 )
 from retransim.strategy import StrategyConfig, emit
-from retransim.translator import BiasSpec, ScriptedTranslator, ToyLexicalTranslator, ToyModelConfig
+from retransim.translator import (
+    BiasSpec,
+    CachingTranslator,
+    ScriptedTranslator,
+    ToyLexicalTranslator,
+    ToyModelConfig,
+)
 from conftest import ONE_TO_ONE_LEXICON, pairs_from, seq, write_corpus
 
 UNSTABLE_TAIL_SCRIPT = {
@@ -838,6 +844,20 @@ def test_core_matches_config_by_config_oracle(case):
             assert (failure[0], str(failure[1])) == want, jobs
 
 
+def _three_sentence_models() -> tuple[list[SentencePair], Models]:
+    """Three sentences over CORE_WORDS, a toy decoder with two targets per
+    word, and a bigram LM trained on the sentences."""
+    lexicon = {w: ((t, 0.5), (t + "2", 0.5)) for w, t in zip(CORE_WORDS, "xyzw")}
+    sources = [("a", "b", "c"), ("d", "c", "b", "a"), ("b",)]
+    pairs = [SentencePair(s, ("x",), i) for i, s in enumerate(sources)]
+    lm = train_lm(sources, order=2)
+    models = Models(
+        ToyLexicalTranslator(ToyModelConfig(lexicon=lexicon, beam_size=2, instability=0.5)),
+        lm, frozenset(lm.vocabulary) - {UNK, EOS},
+    )
+    return pairs, models
+
+
 def test_one_kernel_crossing_per_sentence_and_per_biased_step(monkeypatch):
     if translator_module._kernel is None:
         pytest.skip("no C beam search")
@@ -853,14 +873,7 @@ def test_one_kernel_crossing_per_sentence_and_per_biased_step(monkeypatch):
 
     kernel = translator_module._kernel
     monkeypatch.setattr(translator_module, "_kernel", Counting())
-    lexicon = {w: ((t, 0.5), (t + "2", 0.5)) for w, t in zip(CORE_WORDS, "xyzw")}
-    sources = [("a", "b", "c"), ("d", "c", "b", "a"), ("b",)]
-    pairs = [SentencePair(s, ("x",), i) for i, s in enumerate(sources)]
-    lm = train_lm(sources, order=2)
-    models = Models(
-        ToyLexicalTranslator(ToyModelConfig(lexicon=lexicon, beam_size=2, instability=0.5)),
-        lm, frozenset(lm.vocabulary) - {UNK, EOS},
-    )
+    pairs, models = _three_sentence_models()
     cells = [StrategyConfig("mask_k", k_mask=k) for k in range(4)] + [
         StrategyConfig("oracle"),
         StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=3)),
@@ -889,6 +902,36 @@ def test_one_kernel_crossing_per_sentence_and_per_biased_step(monkeypatch):
     )
     assert biased_steps > len(pairs)
     assert len(crossings) == len(pairs) + biased_steps
+
+
+def test_translate_calls_are_what_the_records_count(monkeypatch):
+    """A run's translate calls can be read from its traces: each step's
+    n_translate_calls, plus one full-sentence translation per oracle session."""
+    calls = []
+    translate = CachingTranslator.translate
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return translate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CachingTranslator, "translate", counting)
+    pairs, models = _three_sentence_models()
+    cells = [
+        StrategyConfig("none"),
+        StrategyConfig("mask_k", k_mask=2),
+        StrategyConfig("oracle"),
+        StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=3)),
+        StrategyConfig("dynamic", predictor=PredictorConfig("lm_sample", k=2, n=2),
+                       bias_beta=0.5),
+    ]
+    cfgs = [RunConfig("unused", "unused", {"kind": "toy"}, cell) for cell in cells]
+    traces, failure = sim._simulate(cfgs, pairs, models, 1)
+    assert failure is None
+    recorded = sum(
+        rec.n_translate_calls for cell in traces for trace in cell for rec in trace.records
+    )
+    oracle_sessions = len(traces[cells.index(StrategyConfig("oracle"))])
+    assert len(calls) == recorded + oracle_sessions
 
 
 def test_every_session_runs_through_run_sentence(monkeypatch):
