@@ -3,7 +3,8 @@
 Subcommands: train-lm, run, sweep, metrics (recompute from traces),
 mask-hist, make-synthetic. Results are tidy CSV / JSONL for downstream
 plotting; nothing is rendered in-process. Exit codes: 0 success,
-1 internal error or a closed standard output, 2 bad input or config.
+1 internal error or a closed standard output, 2 bad input or config;
+a located failure (sim.SimulationError) exits by the error it carries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .sim import (
     ConfigError,
     RunConfig,
     SimulationError,
-    SweepCellError,
     config_hash,
     load_run_config,
     load_sweep_spec,
@@ -296,11 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader left; what stays buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SweepCellError, SimulationError) as exc:  # exits by the error it locates
+    except SimulationError as exc:  # exits by the error it carries
         print(f"error: {exc}", file=sys.stderr)
-        while isinstance(exc, (SweepCellError, SimulationError)):
-            exc = exc.__cause__
-        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
+        return 2 if isinstance(exc.error, _INPUT_ERRORS) else 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

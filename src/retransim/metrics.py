@@ -10,6 +10,8 @@ values recomputed from serialized traces match the online run exactly.
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 from collections import Counter
@@ -184,9 +186,13 @@ class TradeoffPoint:
     CSV_HEADER = "strategy,AL,NE,BLEU,n_sentences"
 
     def csv_row(self) -> str:
-        return (
-            f"{self.strategy_label},{self.al!r},{self.ne!r},{self.bleu!r},{self.n_sentences}"
+        """The point's CSV row: a label that holds a comma or a quote is
+        quoted (RFC 4180), and floats print as their repr."""
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow(
+            (self.strategy_label, self.al, self.ne, self.bleu, self.n_sentences)
         )
+        return row.getvalue()
 
 
 def csv_lines(points: list[TradeoffPoint]) -> list[str]:

@@ -47,9 +47,10 @@ class NgramLM:
 
     counts[o] maps a context tuple of o-1 tokens to {token: count}. Every
     training sentence is implicitly terminated by EOS; the vocabulary
-    always contains UNK and EOS, and its tokens pass check_tokens, as
-    load_lm requires. A context never observed at one order backs off to
-    the next shorter context, bottoming out at unigrams.
+    always contains UNK and EOS, its tokens pass check_tokens and it holds
+    every counted token, as load_lm requires. A context never observed at
+    one order backs off to the next shorter context, bottoming out at
+    unigrams.
     """
 
     def __init__(
@@ -71,6 +72,11 @@ class NgramLM:
         self.smoothing_alpha = smoothing_alpha
         # checked in sorted order, so the token an error names is the same every run
         self._sorted_vocab = check_tokens(tuple(sorted(self.vocabulary)), "vocabulary")
+        # a file's counts, unlike train_lm's, can name a token outside the vocabulary
+        counted = set().union(*(table for tables in counts.values() for table in tables.values()))
+        if not counted <= self.vocabulary:
+            outside = min(counted - self.vocabulary)
+            raise ValueError(f"invalid token {outside!r} in counts: not in the vocabulary")
         # sampling tables, built on first use: one per resolved count
         # table, shared by every context that backs off to it
         self._by_table: dict[tuple, tuple[array, str]] = {}
@@ -211,15 +217,10 @@ def load_lm(path: str | Path) -> NgramLM:
             }
             for order, tables in data.counts.items()
         }
-        lm = NgramLM(data.order, counts, data.vocabulary, data.smoothing_alpha)
-        # after NgramLM's vocabulary check: a file's counts, unlike
-        # train_lm's, can name tokens outside its vocabulary
-        counted = (tok for ts in data.counts.values() for table in ts.values() for tok in table)
-        check_tokens(tuple(dict.fromkeys(counted)), "counts")
-        return lm
+        return NgramLM(data.order, counts, data.vocabulary, data.smoothing_alpha)
     except ConfigError as exc:
         raise LMFormatError(str(exc)) from exc
-    except ValueError as exc:  # NgramLM's checks and the counted tokens' check
+    except ValueError as exc:  # NgramLM's checks
         raise LMFormatError(f"{path}: {exc}") from exc
 
 

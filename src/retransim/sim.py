@@ -6,7 +6,8 @@ A run is a pure function of its RunConfig: traces are reproducible
 byte-for-byte regardless of parallelism degree, because every sentence
 is an independent session and parallel processes only shard sentences.
 Sweeps run a grid of strategies over one base config; validate_trace
-rebuilds a recorded session with the step rule the simulator uses.
+rebuilds a recorded session with the step rule the simulator uses. A
+failing step or sweep cell raises a SimulationError that locates its error.
 """
 
 from __future__ import annotations
@@ -42,17 +43,21 @@ TRACE_SCHEMA_VERSION = 1
 
 
 class SimulationError(Exception):
-    """A translator or predictor failure, annotated with its location; __cause__
-    is the failure, and a forked child sends it to the parent with its cause."""
+    """A run's failure and where it happened: args are (where, error), so it
+    crosses a forked child's pipe whole. error is never a SimulationError:
+    locating one again joins the two locations."""
 
-    def __reduce__(self):
-        return _with_cause, (type(self), self.args, self.__cause__)
+    def __init__(self, where: str, error: Exception):
+        if isinstance(error, SimulationError):
+            where, error = f"{where}: {error.args[0]}", error.error
+        super().__init__(where, error)
 
+    @property
+    def error(self) -> Exception:
+        return self.args[1]
 
-def _with_cause(cls, args, cause):
-    exc = cls(*args)
-    exc.__cause__ = cause
-    return exc
+    def __str__(self) -> str:
+        return "%s: %s" % self.args
 
 
 class TraceError(ValueError):
@@ -234,9 +239,7 @@ def run_sentence(
         try:
             full_translation = translator.translate(source, source_is_final=True).tokens
         except Exception as exc:
-            raise SimulationError(
-                f"sentence {pair.sentence_id}, step {len(source)}: {exc}"
-            ) from exc
+            raise SimulationError(f"sentence {pair.sentence_id}, step {len(source)}", exc)
 
     records: list[StepRecord] = []
     for i, prefix in enumerate(memo.prefixes, start=1):
@@ -258,7 +261,7 @@ def run_sentence(
                     [translator.translate(ext, bias, False).tokens for ext in extensions]
                 )
         except Exception as exc:
-            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
+            raise SimulationError(f"sentence {pair.sentence_id}, step {i}", exc)
 
         # emission stays outside the try: its bugs are not input errors
         record = StepRecord(*_step_record(
@@ -518,10 +521,6 @@ def _child_shard(sender, cfgs, pairs, models) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SweepCellError(Exception):
-    """A sweep cell failed; message carries the cell's label, __cause__ the error."""
-
-
 # the field metadata of a sweep axis: its key sits in the spec's "axes" object
 _AXIS = {"section": "axes"}
 
@@ -598,22 +597,22 @@ def run_sweep(spec: SweepSpec) -> list[tuple[StrategyConfig, TradeoffPoint, list
     probe draws across cells; that is sound because translators and
     predictors are pure functions of their inputs. With
     spec.base.parallelism > 1 each process (see _simulate) does so over
-    its shard of sentences. The first cell that fails, in simulation or
-    in its metrics, is raised as a SweepCellError naming its label.
+    its shard of sentences. The first cell that fails, in simulation, in
+    its LM check or in its metrics, is a SimulationError at its label.
     """
     cells = spec.cells()
     cfgs = [dataclasses.replace(spec.base, strategy=cell) for cell in cells]
     traces, failure = _run_configs(spec.base, cfgs)
     if failure is not None:
         index, exc = failure
-        raise SweepCellError(f"cell {cells[index].label!r}: {exc}") from exc
+        raise SimulationError(f"cell {cells[index].label!r}", exc)
 
     results = []
     for cell, cfg, cell_traces in zip(cells, cfgs, traces):
         try:
             point = aggregate(cell.label, cell_traces, ne_mode=cfg.ne_mode)
         except MetricsError as exc:
-            raise SweepCellError(f"cell {cell.label!r}: {exc}") from exc
+            raise SimulationError(f"cell {cell.label!r}", exc)
         results.append((cell, point, cell_traces))
     results.sort(key=lambda item: item[0].label)
     return results

@@ -550,6 +550,54 @@ def test_a_script_miss_exits_2_from_any_shard(workspace, tmp_path, capsys, jobs)
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="workers need fork"
 )
+@pytest.mark.parametrize(
+    "command, location",
+    [("run", "sentence 1, step 1"), ("sweep", "cell 'mask_k=0': sentence 1, step 1")],
+)
+def test_a_located_failure_from_a_forked_child_exits_1(
+    workspace, capsys, monkeypatch, command, location
+):
+    """The kernel runs out of memory in the forked child only, whose shard
+    holds sentence 1: the located error crosses the pipe whole."""
+    tmp_path, cfg, cfg_path = workspace
+    parent, simulate_sentence = os.getpid(), sim.simulate_sentence
+
+    def out_of_memory_in_child(*args):
+        if os.getpid() != parent:
+            translator._kernel = _OutOfMemory()
+        return simulate_sentence(*args)
+
+    monkeypatch.setattr(sim, "simulate_sentence", out_of_memory_in_child)
+    if command == "run":
+        argv = ["run", "--config", str(cfg_path)]
+    else:
+        spec_path = _write_sweep_spec(tmp_path, cfg)
+        argv = ["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--parallelism", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {location}: beam search kernel: out of memory\n"
+
+
+def test_a_script_miss_in_a_forked_child_fails_its_sweep_cell_with_exit_2(workspace, capsys):
+    """Sentence 0 is scripted and sentence 1, which the forked child
+    simulates at parallelism 2, is not."""
+    tmp_path, cfg, _ = workspace
+    script = tmp_path / "script.tsv"
+    script.write_text("".join(f"{' '.join('abcda'[:n])}\tx\n" for n in range(1, 6)),
+                      encoding="utf-8")
+    data = {**cfg.to_dict(), "translator": {"kind": "scripted", "script_path": str(script)}}
+    spec_path = _write_sweep_spec(tmp_path, RunConfig.from_dict(data))
+    argv = ["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out"),
+            "--parallelism", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cell 'mask_k=0': sentence 1, step 1: no script entry for prefix 'c'\n"
+    )
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers need fork"
+)
 def test_dead_worker_fails_the_run_instead_of_hanging(workspace, capsys, monkeypatch):
     _, _, cfg_path = workspace
     parent, simulate_sentence = os.getpid(), sim.simulate_sentence
@@ -786,6 +834,13 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
          ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "lm_sample",
           "--pred-k", "2", "--pred-n", "2", "--lm", "lm.json"],
          "lm.json: invalid token 'zz top' in vocabulary"),
+        # a counted token the vocabulary lacks: no sampling table would lay it out
+        ({"lm.json": json.dumps({"format": LM_FORMAT, "version": 1, "order": 1,
+                                 "smoothing_alpha": 0.1, "vocabulary": ["a"],
+                                 "counts": {"1": {"": {"a": 1, "c": 50}}}})},
+         ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "lm_sample",
+          "--lm", "lm.json"],
+         "lm.json: invalid token 'c' in counts: not in the vocabulary"),
         ({}, ["run", "--config", "run.json", "--beta", "1.5"],
          "flags over run.json: bad run config: strategy: bias_beta must be in [0, 1]"),
         ({}, ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "random",
@@ -794,7 +849,8 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
     ],
     ids=["script-empty-prefix", "empty-trace-file", "train-lm-empty-source",
          "lexicon-empty-source", "min-len", "vocab", "negative-seed", "synthetic-instability",
-         "synthetic-instability-nan", "lm-version", "lm-token", "beta", "pred-n"],
+         "synthetic-instability-nan", "lm-version", "lm-token", "lm-counted-token", "beta",
+         "pred-n"],
 )
 def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch, capsys, files,
                                                           argv, problem):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
@@ -18,9 +19,12 @@ from retransim.metrics import (
     aggregate,
     average_lag,
     corpus_bleu,
+    csv_lines,
     erased_between,
     normalized_erasure,
 )
+from retransim.predict import PredictorConfig
+from retransim.strategy import StrategyConfig
 from conftest import seq
 
 
@@ -289,6 +293,18 @@ def test_tradeoff_point_csv():
     point = TradeoffPoint("mask_k=3", 1.5, 0.125, 61.25, 10)
     assert TradeoffPoint.CSV_HEADER == "strategy,AL,NE,BLEU,n_sentences"
     assert point.csv_row() == "mask_k=3,1.5,0.125,61.25,10"
+
+
+def test_a_label_with_commas_reads_back_as_one_csv_field():
+    label = StrategyConfig(
+        "dynamic", predictor=PredictorConfig("random", k=2, n=2), bias_beta=0.5
+    ).label
+    point = TradeoffPoint(label, 1.5, 0.1 + 0.2, 61.25, 10)
+    lines = csv_lines([point])
+    assert lines[1] == '"dynamic:random,k=2,n=2,beta=0.5",1.5,0.30000000000000004,61.25,10'
+    header, row = csv.reader(lines)
+    assert len(header) == len(row) == 5
+    assert row == [label, "1.5", "0.30000000000000004", "61.25", "10"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import time
 
@@ -164,6 +165,17 @@ def test_oracle_full_sentence_failure_names_the_last_step():
     pair = pairs_from(["a b c"], ["p q r"])[0]
     with pytest.raises(SimulationError, match=r"^sentence 0, step 3: no script entry"):
         run_sentence(cfg, pair, models)
+
+
+def test_a_located_error_joins_locations_and_pickles_whole():
+    miss = translator_module.ScriptMiss("no script entry for prefix 'c'")
+    exc = SimulationError("cell 'mask_k=2'", SimulationError("sentence 3, step 2", miss))
+    assert exc.args == ("cell 'mask_k=2': sentence 3, step 2", miss)
+    assert exc.error is miss
+    assert str(exc) == "cell 'mask_k=2': sentence 3, step 2: no script entry for prefix 'c'"
+    back = pickle.loads(pickle.dumps(exc))  # as a forked child sends it
+    assert type(back) is SimulationError and type(back.error) is translator_module.ScriptMiss
+    assert str(back) == str(exc)
 
 
 def test_translate_failure_names_its_step_and_emission_errors_pass_through(monkeypatch):
@@ -735,7 +747,7 @@ def _reference_session(cfg: RunConfig, pair, models: Models) -> SessionTrace:
         try:
             full = translator.translate(source, source_is_final=True).tokens
         except Exception as exc:
-            raise SimulationError(f"sentence {pair.sentence_id}, step {len(source)}: {exc}") from exc
+            raise SimulationError(f"sentence {pair.sentence_id}, step {len(source)}", exc)
     records = []
     for i in range(1, len(source) + 1):
         prefix, is_final = source[:i], i == len(source)
@@ -756,7 +768,7 @@ def _reference_session(cfg: RunConfig, pair, models: Models) -> SessionTrace:
                     for ext in extensions
                 )
         except Exception as exc:
-            raise SimulationError(f"sentence {pair.sentence_id}, step {i}: {exc}") from exc
+            raise SimulationError(f"sentence {pair.sentence_id}, step {i}", exc)
         output = emit(strat, hyp, probes, previous, is_final, full)
         records.append(
             StepRecord(i, prefix, hyp, output, erased_between(hyp, output), is_final,
