@@ -13,26 +13,14 @@ import dataclasses
 from pathlib import Path
 import tempfile
 
-from retransim import (
-    BiasSpec,
-    RunConfig,
-    StrategyConfig,
-    ToyLexicalTranslator,
-    load_lexicon,
-    run_corpus,
-)
-from retransim.sim import load_models
+from retransim import BiasSpec, RunConfig, StrategyConfig, run_corpus
+from retransim.sim import build_translator, load_models
 from retransim.core import read_corpus
 from retransim.synthetic import write_synthetic, toy_translator_spec
 
 
 def single_sentence_view(lexicon_path: str) -> None:
-    params = {
-        k: v
-        for k, v in toy_translator_spec(lexicon_path, instability=1.0).items()
-        if k not in ("kind", "lexicon_path")
-    }
-    tr = ToyLexicalTranslator(load_lexicon(lexicon_path, **params))
+    tr = build_translator(toy_translator_spec(lexicon_path, instability=1.0))
     src_lines = Path(lexicon_path).parent.joinpath("synthetic.src").read_text().splitlines()
     source = tuple(src_lines[2].split())
 

@@ -135,11 +135,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(spec)
-    if args.traces:  # every cell is scored by now; each file appears whole or not at all
+    if args.traces:  # every cell is scored by now
         for cell, _, traces in results:
-            tmp = out_dir / (re.sub(r"[^A-Za-z0-9._=,+-]", "_", cell.label) + ".jsonl.tmp")
-            write_traces(tmp, traces, dataclasses.replace(spec.base, strategy=cell))
-            os.replace(tmp, tmp.with_suffix(""))
+            path = out_dir / (re.sub(r"[^A-Za-z0-9._=,+-]", "_", cell.label) + ".jsonl")
+            write_traces(path, traces, dataclasses.replace(spec.base, strategy=cell))
     points = [point for _, point, _ in results]
     lines = csv_lines(points)
     csv_path = out_dir / "sweep.csv"
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-mask", type=int)
     p.add_argument("--predictor", choices=STRATEGIES)
     p.add_argument("--pred-k", type=int)
-    p.add_argument("--pred-n", type=int)
+    p.add_argument("--pred-n", type=int, help="extensions per step: lm_sample and random only")
     p.add_argument("--beta", type=float, help="bias interpolation weight")
     p.add_argument("--lm", help="language model file from train-lm")
     p.add_argument("--seed", type=int)

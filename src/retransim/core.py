@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass
@@ -139,7 +140,32 @@ def numbered_lines(path: str | Path, error: type[Exception]):
 
 def write_lines(path: str | Path, lines) -> None:
     """Write each of lines, as they come, plus "\n" to path as UTF-8; the line
-    end is "\n" on every platform, so the bytes do not depend on the machine."""
+    end is "\n" on every platform, so the bytes do not depend on the machine.
+
+    The file appears whole or not at all: the lines go to a temporary beside
+    the path's resolved target (a symlink keeps its link), which is renamed
+    onto it once written, and removed if writing fails. A process that dies
+    mid-write leaves at most that temporary; there is no fsync, so a machine
+    crash is not covered. A path that exists as no regular file (/dev/null,
+    /dev/stdout on a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        _write_lines(path, lines)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        _write_lines(tmp, lines)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the caller's path
+            exc.filename = str(path)
+        raise
+
+
+def _write_lines(path: str | Path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")

@@ -228,8 +228,8 @@ def load_lm(path: str | Path) -> NgramLM:
 class PredictorConfig:
     """Which extension strategy to probe with, and how much of it.
 
-    k is the extension length in tokens, n the number of extensions.
-    Deterministic strategies (lm_greedy, unknown) force n to 1.
+    k is the extension length in tokens, n the number of extensions, which
+    only the drawing strategies (lm_sample, random) take above 1.
     """
 
     strategy: str
@@ -244,8 +244,8 @@ class PredictorConfig:
             raise ValueError("k must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.strategy in ("lm_greedy", "unknown"):
-            object.__setattr__(self, "n", 1)
+        if self.n != 1 and self.strategy in ("lm_greedy", "unknown"):
+            raise ValueError(f"n is for lm_sample and random only, got {self.n} with {self.strategy}")
 
     @property
     def label(self) -> str:

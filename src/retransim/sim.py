@@ -529,18 +529,14 @@ _AXIS = {"section": "axes"}
 class SweepSpec:
     """A grid of strategies over one base run configuration.
 
-    mask-k cells are the cross product of k_mask and bias_beta; dynamic
-    cells come from the predictor axes' cross product and/or an explicit
-    cell list, again crossed with bias_beta. Every cell must map to a
-    unique strategy label.
+    mask-k cells are the cross product of k_mask and bias_beta, dynamic
+    cells that of dynamic_cells and bias_beta. No cell is merged or
+    dropped: every cell must map to a unique strategy label.
     """
 
     base: RunConfig
     k_mask: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
     bias_beta: tuple[float, ...] = dataclasses.field(default=(0.0,), metadata=_AXIS)
-    predictor_strategy: tuple[str, ...] = dataclasses.field(default=(), metadata=_AXIS)
-    predictor_k: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
-    predictor_n: tuple[int, ...] = dataclasses.field(default=(), metadata=_AXIS)
     dynamic_cells: tuple[PredictorConfig, ...] = ()
     include_none: bool = False
     include_oracle: bool = False
@@ -549,7 +545,7 @@ class SweepSpec:
         self.cells()  # every cell a valid strategy, and the labels unique
 
     def cells(self) -> list[StrategyConfig]:
-        betas = self.bias_beta or (0.0,)
+        betas = self.bias_beta  # an empty list crosses to no cells
         out: list[StrategyConfig] = []
         if self.include_none:
             out.extend(StrategyConfig("none", bias_beta=b) for b in betas)
@@ -557,17 +553,8 @@ class SweepSpec:
             out.append(StrategyConfig("oracle"))
         for k in self.k_mask:
             out.extend(StrategyConfig("mask_k", k_mask=k, bias_beta=b) for b in betas)
-        predictors = list(self.dynamic_cells)
-        for strat in self.predictor_strategy:
-            for k in self.predictor_k or (1,):
-                for n in self.predictor_n or (1,):
-                    predictors.append(PredictorConfig(strategy=strat, k=k, n=n))
-        # equal predictors merge; different ones that share a label are
-        # reported as duplicate labels below
-        for pred in dict.fromkeys(predictors):
-            out.extend(
-                StrategyConfig("dynamic", predictor=pred, bias_beta=b) for b in betas
-            )
+        for pred in self.dynamic_cells:
+            out.extend(StrategyConfig("dynamic", predictor=pred, bias_beta=b) for b in betas)
         labels = Counter(cell.label for cell in out)
         dupes = [label for label, c in labels.items() if c > 1]
         if dupes:

@@ -22,6 +22,7 @@ from retransim.predict import PredictorConfig, save_lm, train_lm
 from retransim.sim import (
     Models,
     RunConfig,
+    build_translator,
     load_models,
     read_traces,
     run_corpus,
@@ -29,7 +30,7 @@ from retransim.sim import (
     write_traces,
 )
 from retransim.strategy import StrategyConfig
-from retransim.translator import BiasSpec, ToyLexicalTranslator, load_lexicon, load_script
+from retransim.translator import BiasSpec, load_script
 from retransim.synthetic import write_synthetic, toy_translator_spec
 from retransim.metrics import mask_histogram
 from retransim.sim import run_sentence
@@ -222,9 +223,7 @@ def test_criterion_4_beta_zero_equivalence(pinned):
     paths = pinned["paths"]
     sentences = [tokenize(l) for l in Path(paths["source"]).read_text().splitlines()]
     # uncached translator: both decodes must really run
-    translator = ToyLexicalTranslator(
-        load_lexicon(paths["lexicon"], **{k: v for k, v in toy_translator_spec(paths["lexicon"], 0.5).items() if k not in ("kind", "lexicon_path")})
-    )
+    translator = build_translator(toy_translator_spec(paths["lexicon"], 0.5))
     rng = random.Random(4242)
     checked = 0
     ok = True

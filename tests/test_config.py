@@ -12,7 +12,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retransim import sim
@@ -173,6 +173,8 @@ def test_bad_scripted_spec_exits_2(files, monkeypatch, capsys, key, value):
         (["--k-mask", "x"], ["--k-mask"]),  # wrong type, unknown: argparse's own
         (["--k-mak", "1"], ["--k-mak"]),
         (["--ne-mode", "bogus"], ["--ne-mode"]),
+        (["--strategy", "dynamic", "--predictor", "lm_greedy", "--pred-n", "3"],
+         ["flags over ", "strategy.predictor: n is for lm_sample and random only, got 3"]),
     ],
 )
 def test_bad_flag_over_run_config_exits_2(files, monkeypatch, capsys, flags, names):
@@ -231,6 +233,21 @@ def test_strategy_flag_of_another_kind_drops_the_files_kind_fields(files, capsys
     assert main(["run", "--config", cfg, *flags, "--echo-config"]) == 0
     echoed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert json.loads(echoed[0])["strategy"] == expected
+
+
+def test_predictor_flag_keeps_the_files_n(files, monkeypatch, capsys):
+    """--predictor over a file's drawing predictor keeps its n: a deterministic
+    predictor refuses it, naming n, and runs once --pred-n sets it to 1."""
+    strategy = {"kind": "dynamic", "predictor": {"strategy": "random", "n": 3}}
+    cfg = _write(files["dir"] / "run.json", {**files["config"], "strategy": strategy})
+    argv = ["run", "--config", cfg, "--predictor", "lm_greedy", "--lm", str(files["lm"])]
+    _rejected(monkeypatch, capsys, argv,
+              f"flags over {cfg}: bad run config: strategy.predictor: n is for lm_sample")
+    monkeypatch.undo()
+    assert main([*argv, "--pred-n", "1", "--echo-config"]) == 0
+    echoed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert json.loads(echoed[0])["strategy"]["predictor"] == {
+        "strategy": "lm_greedy", "k": 1, "n": 1, "seed": 0}
 
 
 @pytest.mark.parametrize(
@@ -309,7 +326,7 @@ SWEEP_CASES = [
     (("axes", "k_mask"), [-1], "k_mask"),  # out of range
     (("axes", "bias_beta"), [1.5], "bias_beta"),
     (("axes", "k_mask"), [1, 1], "duplicate sweep cell labels"),
-    (("axes", "predictor_strategy"), ["bogus"], "bogus"),
+    (("dynamic_cells",), [{"strategy": "bogus"}], "bogus"),
     (("dynamic_cells",), [{"strategy": "random", "k": 0}], "dynamic_cells[0]"),
     (("axis",), {}, "axis"),  # unknown key
     (("axes", "k_mas"), [1], "axes.k_mas"),
@@ -325,6 +342,16 @@ SWEEP_CASES = [
     # different predictors, one label: no cell may be dropped
     (("dynamic_cells",), [{"strategy": "random", "seed": 1}, {"strategy": "random", "seed": 2}],
      "duplicate sweep cell labels: ['dynamic:random,k=1,n=1']"),
+    # one predictor listed twice: no cell is merged either
+    (("dynamic_cells",), [{"strategy": "random"}, {"strategy": "random"}],
+     "duplicate sweep cell labels: ['dynamic:random,k=1,n=1']"),
+    # a deterministic predictor makes one extension: n is refused, not folded to 1
+    (("dynamic_cells",), [{"strategy": "unknown", "n": 2}],
+     "dynamic_cells[0]: n is for lm_sample and random only, got 2 with unknown"),
+    # no beta crosses to no cells
+    (("axes", "bias_beta"), [], "sweep defines no cells"),
+    # dynamic cells are listed, never drawn from predictor axes
+    (("axes", "predictor_strategy"), ["random"], "axes.predictor_strategy"),
 ]
 
 
@@ -334,23 +361,6 @@ def test_bad_sweep_spec_exits_2(files, monkeypatch, capsys, path, value, key):
     spec_path = _write(files["dir"] / "sweep.json", _changed(spec, path, value))
     argv = ["sweep", "--spec", spec_path, "--out-dir", str(files["dir"] / "out")]
     _rejected(monkeypatch, capsys, argv, f"{spec_path}: bad sweep spec", key)
-
-
-@pytest.mark.parametrize(
-    "extra, label",
-    [
-        # listed in dynamic_cells and drawn from the axes
-        ({"dynamic_cells": [{"strategy": "random", "k": 2}],
-          "axes": {"predictor_strategy": ["random"], "predictor_k": [2]}},
-         "dynamic:random,k=2,n=1"),
-        # lm_greedy folds n to 1
-        ({"axes": {"predictor_strategy": ["lm_greedy"], "predictor_n": [1, 3]}},
-         "dynamic:lm_greedy,k=1,n=1"),
-    ],
-)
-def test_equal_sweep_predictors_merge_into_one_cell(files, extra, label):
-    spec = SweepSpec.from_dict({"base": files["config"], **extra})
-    assert [cell.label for cell in spec.cells()] == [label]
 
 
 @pytest.mark.parametrize("command", ["metrics", "mask-hist"])
@@ -455,12 +465,11 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-predictors = st.builds(
-    PredictorConfig,
-    strategy=st.sampled_from(["lm_sample", "lm_greedy", "unknown", "random"]),
-    k=st.integers(1, 5),
-    n=st.integers(1, 5),
-    seed=st.integers(0, 2**64),
+predictors = st.one_of(
+    st.builds(PredictorConfig, strategy=st.sampled_from(["lm_sample", "random"]),
+              k=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**64)),
+    st.builds(PredictorConfig, strategy=st.sampled_from(["lm_greedy", "unknown"]),
+              k=st.integers(1, 5), seed=st.integers(0, 2**64)),
 )
 betas = st.sampled_from([0.0, 0.25, 0.5, 1, 1.0])
 
@@ -511,10 +520,6 @@ def sweep_dicts(draw):
     axes = draw(st.fixed_dictionaries({}, optional={
         "k_mask": st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
         "bias_beta": st.lists(betas, min_size=1, max_size=2, unique_by=float),
-        "predictor_strategy": st.lists(st.sampled_from(["random", "lm_sample"]),
-                                       max_size=2, unique=True),
-        "predictor_k": st.lists(st.integers(1, 3), max_size=2, unique=True),
-        "predictor_n": st.lists(st.integers(1, 3), max_size=2, unique=True),
     }))
     if axes:
         spec["axes"] = axes
@@ -547,12 +552,42 @@ def test_readers_on_any_json_raise_only_config_error(value):
     _reads_or_rejects(SweepSpec.from_dict, value)
 
 
+@st.composite
+def swaps(draw, configs):
+    """(a config's dict, a position in it, any JSON value to put there)."""
+    valid = draw(configs).to_dict()
+    return valid, draw(st.sampled_from(list(_paths(valid)))), draw(json_values)
+
+
+def _read_back_as_given(given, read) -> bool:
+    """Whether read holds each key of given, recursively, with its value and
+    that value's type: a default may fill an absent key, but no value is converted."""
+    if isinstance(given, dict):
+        return isinstance(read, dict) and all(
+            key in read and _read_back_as_given(value, read[key]) for key, value in given.items()
+        )
+    return type(read) is type(given) and read == given
+
+
+DYNAMIC_RANDOM = RunConfig(
+    "s", "r", {"kind": "toy", "lexicon_path": "l"},
+    StrategyConfig("dynamic", predictor=PredictorConfig("random", n=3)),
+).to_dict()
+
+
 @settings(deadline=None)
-@given(run_configs, st.data())
-def test_run_config_with_one_value_swapped_raises_only_config_error(cfg, data):
-    valid = cfg.to_dict()
-    path = data.draw(st.sampled_from(list(_paths(valid))))
-    _reads_or_rejects(RunConfig.from_dict, _changed(valid, path, data.draw(json_values)))
+@given(swaps(run_configs))
+# a deterministic predictor's n is refused, not read as 1
+@example((DYNAMIC_RANDOM, ("strategy", "predictor"), {"strategy": "lm_greedy", "n": 3}))
+def test_run_config_with_one_value_swapped_raises_only_config_error(swap):
+    """A swapped dict is refused with a ConfigError, or reads back as it is."""
+    valid, path, value = swap
+    data = _changed(valid, path, value)
+    try:
+        cfg = RunConfig.from_dict(data)
+    except ConfigError:
+        return
+    assert _read_back_as_given(data, cfg.to_dict())
 
 
 @settings(deadline=None)

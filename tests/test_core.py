@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import re
 
@@ -172,3 +173,53 @@ def test_write_lines_writes_utf8_with_newline_line_ends(tmp_path):
     assert read_lines(path) == ["a é", "", "b\tc"]
     write_lines(path, [])
     assert path.read_bytes() == b""
+
+
+def _one_line_then_a_failure():
+    yield "a"
+    raise RuntimeError("lines failed")
+
+
+@pytest.mark.parametrize("old", [None, b"old\n"], ids=["absent", "existing"])
+def test_write_lines_that_fail_leave_the_old_file_and_no_temporary(tmp_path, old):
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="lines failed"):
+        write_lines(path, _one_line_then_a_failure())
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert list(tmp_path.iterdir()) == ([path] if old is not None else [])
+
+
+def test_write_lines_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with open(target, "rb") as reader:
+        write_lines(link, ["new"])
+        assert reader.read() == b"old\n"  # the target was replaced whole, not rewritten
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_write_lines_writes_a_file_that_is_no_regular_file_in_place(monkeypatch):
+    # a temporary beside /dev/null could not be made, nor renamed onto it
+    monkeypatch.setattr("os.replace", lambda *_: pytest.fail("renamed"))
+    write_lines(os.devnull, ["a"])
+    # a pipe's descriptor link resolves to no path, as /dev/stdout on a pipe does
+    read_fd, write_fd = os.pipe()
+    try:
+        write_lines(f"/dev/fd/{write_fd}", ["a", "b"])
+        assert os.read(read_fd, 16) == b"a\nb\n"
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+def test_write_lines_into_a_missing_directory_names_the_path_given(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_lines(path, ["a"])
+    assert str(info.value).endswith(f": {str(path)!r}")  # not the temporary's name

@@ -330,8 +330,10 @@ def test_predictor_config_validation():
         PredictorConfig(strategy="nope")
     with pytest.raises(ValueError):
         PredictorConfig(strategy="random", k=0)
-    assert PredictorConfig(strategy="lm_greedy", n=7).n == 1
-    assert PredictorConfig(strategy="unknown", n=3).n == 1
+    with pytest.raises(ValueError, match="n is for lm_sample and random only, got 7 with lm_greedy"):
+        PredictorConfig(strategy="lm_greedy", n=7)
+    with pytest.raises(ValueError, match="n is for lm_sample and random only, got 3 with unknown"):
+        PredictorConfig(strategy="unknown", n=3)
     assert PredictorConfig(strategy="lm_sample", n=3).n == 3
 
 
@@ -352,7 +354,7 @@ def test_every_extension_begins_with_prefix(bigram_lm):
             cfg = PredictorConfig(
                 strategy=strategy,
                 k=rng.randrange(1, 4),
-                n=rng.randrange(1, 4),
+                n=rng.randrange(1, 4) if strategy in ("lm_sample", "random") else 1,
                 seed=rng.randrange(100),
             )
             prefix = tuple(rng.choice(["a", "b"]) for _ in range(rng.randrange(1, 5)))

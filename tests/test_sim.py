@@ -801,7 +801,11 @@ CORE_CELLS = st.one_of(
     st.just(StrategyConfig("oracle")),
     st.builds(
         lambda strategy, k, n, seed, b: StrategyConfig(
-            "dynamic", predictor=PredictorConfig(strategy, k=k, n=n, seed=seed), bias_beta=b
+            "dynamic", bias_beta=b,
+            # only a drawing predictor makes more than one extension
+            predictor=PredictorConfig(
+                strategy, k=k, n=n if strategy in ("lm_sample", "random") else 1, seed=seed
+            ),
         ),
         st.sampled_from(["lm_sample", "lm_greedy", "unknown", "random"]),
         st.integers(1, 3),
