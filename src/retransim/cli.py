@@ -91,7 +91,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
              instability=args.instability, max_len_ratio=args.max_len_ratio,
              seed=args.model_seed, identity_fallback=args.identity_fallback)
     _overlay(data, source_path=args.source, reference_path=args.reference,
-             char_mode=args.char_mode, seed=args.seed, lm_path=args.lm, ne_mode=args.ne_mode)
+             char_mode=args.char_mode, lm_path=args.lm, ne_mode=args.ne_mode)
     strategy = data.setdefault("strategy", {"kind": "none"})
     if args.strategy and args.strategy != strategy["kind"]:  # another kind's keys go
         strategy.update(kind=args.strategy, k_mask=0, predictor=None)
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-n", type=int, help="extensions per step: lm_sample and random only")
     p.add_argument("--beta", type=float, help="bias interpolation weight")
     p.add_argument("--lm", help="language model file from train-lm")
-    p.add_argument("--seed", type=int)
     p.add_argument("--char-mode", action=argparse.BooleanOptionalAction)
     p.add_argument("--ne-mode", choices=NE_MODES)
     p.add_argument(

@@ -16,6 +16,8 @@ import functools
 import json
 import math
 import os
+import stat
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -146,12 +148,30 @@ def write_lines(path: str | Path, lines) -> None:
     the path's resolved target (a symlink keeps its link), which is renamed
     onto it once written, and removed if writing fails. A process that dies
     mid-write leaves at most that temporary; there is no fsync, so a machine
-    crash is not covered. A path that exists as no regular file (/dev/null,
-    /dev/stdout on a pipe) is written in place.
+    crash is not covered. A path that names the file open on descriptor 1
+    or 2 (/dev/stdout, or the file that standard output is redirected to)
+    is written through that descriptor, after sys.stdout or sys.stderr is
+    flushed, so what is printed before and after stays in order around it.
+    Any other path that exists as no regular file (/dev/null) is written
+    in place.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        _write_lines(path, lines)
-        return
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):  # no such file yet, or one that the write below names
+        info = None
+    if info is not None:
+        for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+            try:
+                held = os.fstat(fd)
+            except OSError:  # fd is closed
+                continue
+            if os.path.samestat(held, info):
+                stream.flush()
+                _write_lines(fd, lines)
+                return
+        if not stat.S_ISREG(info.st_mode):
+            _write_lines(path, lines)
+            return
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
@@ -165,8 +185,9 @@ def write_lines(path: str | Path, lines) -> None:
         raise
 
 
-def _write_lines(path: str | Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_lines(file: str | Path | int, lines) -> None:
+    """Write lines to a path, or through a descriptor that stays open."""
+    with open(file, "w", encoding="utf-8", newline="\n", closefd=not isinstance(file, int)) as fh:
         for line in lines:
             fh.write(line + "\n")
 

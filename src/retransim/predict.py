@@ -244,8 +244,14 @@ class PredictorConfig:
             raise ValueError("k must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n != 1 and self.strategy in ("lm_greedy", "unknown"):
             raise ValueError(f"n is for lm_sample and random only, got {self.n} with {self.strategy}")
+        if self.seed != 0 and self.strategy in ("lm_greedy", "unknown"):
+            raise ValueError(
+                f"seed is for lm_sample and random only, got {self.seed} with {self.strategy}"
+            )
 
     @property
     def label(self) -> str:

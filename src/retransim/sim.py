@@ -113,6 +113,7 @@ class RunConfig:
     calling one included: each of the other parallelism - 1 is forked
     with the heap frozen (see _simulate). It is an execution detail the
     caller sets, no key of the serialized form, and must never change results.
+    seed is reserved at 0: the one seed of a probe draw is strategy.predictor.seed.
     """
 
     source_path: str
@@ -126,6 +127,8 @@ class RunConfig:
     parallelism: int = dataclasses.field(default=1, metadata={"key": False})
 
     def __post_init__(self) -> None:
+        if self.seed != 0:
+            raise ConfigError(f"seed must be 0, got {self.seed}: use strategy.predictor.seed")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.ne_mode not in NE_MODES:
@@ -199,7 +202,7 @@ def load_models(cfg: RunConfig, pairs: list[SentencePair]) -> Models:
 
 def _takes_probes(predictor: PredictorConfig | None, is_final: bool) -> bool:
     """Whether a step translates probe extensions: a non-final step under a
-    predictor (a probe key, or the strategy's), which only dynamic masking holds."""
+    predictor, which only dynamic masking holds."""
     return predictor is not None and not is_final
 
 
@@ -231,7 +234,7 @@ def run_sentence(
     if memo is None:
         memo = _SentenceMemo([cfg], pair, models)
     translator = memo.translator
-    predictor = _probe_key(cfg)
+    predictor = strat.predictor
 
     previous: TokenSeq = ()
     full_translation: TokenSeq | None = None
@@ -296,16 +299,6 @@ def simulate_sentence(
     return traces, None
 
 
-def _probe_key(cfg: RunConfig) -> PredictorConfig | None:
-    """The predictor a config probes with, its seed folded with the run
-    seed; per-draw seeding also mixes sentence_id, so results are
-    order-independent. None for configs that take no probes."""
-    predictor = cfg.strategy.predictor
-    if predictor is None:
-        return None
-    return dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
-
-
 class _SentenceMemo:
     """One sentence's prefixes, translations and probe extensions, shared
     by the configs run over it.
@@ -324,7 +317,7 @@ class _SentenceMemo:
         self.prefixes = [pair.source[:i] for i in range(1, len(pair.source) + 1)]
         self.translator = CachingTranslator(models.translator)
         self._extensions: dict[tuple[PredictorConfig, int], list[TokenSeq]] = {}
-        keys = dict.fromkeys(_probe_key(cfg) for cfg in cfgs if cfg.strategy.bias_beta == 0.0)
+        keys = dict.fromkeys(c.strategy.predictor for c in cfgs if c.strategy.bias_beta == 0.0)
         self.translator.translate_many(
             [
                 request

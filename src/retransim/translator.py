@@ -144,7 +144,7 @@ def _fnv1a64(data: bytes, init: int = _FNV_BASIS) -> int:
 
 def _prefix_state(seed: int, source: TokenSeq) -> int:
     blob = "\x1f".join(source).encode("utf-8")
-    return _fnv1a64(blob, init=_avalanche(seed & _MASK64))
+    return _fnv1a64(blob, init=_avalanche(seed))
 
 
 def _token_state(token: str) -> int:
@@ -233,7 +233,8 @@ class ToyModelConfig:
     of source positions; instability in [0, log(DBL_MAX) = 709.78...]
     scales the hash perturbation (0 removes it entirely). End-of-sentence
     becomes available once all source positions are consumed or the output
-    reaches max_len_ratio * len(source) tokens.
+    reaches max_len_ratio * len(source) tokens. seed, in [0, 2**64), seeds
+    the hash perturbation.
     """
 
     lexicon: dict[str, tuple[tuple[str, float], ...]]
@@ -258,6 +259,8 @@ class ToyModelConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.max_len_ratio <= 0.0:
             raise ValueError("max_len_ratio must be > 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for src, entries in self.lexicon.items():
             if not entries:
                 raise NonNormalizedLexicon(f"source token {src!r} has no entries")
@@ -470,7 +473,7 @@ class ToyLexicalTranslator:
             table += struct.pack(f"=i{len(text)}si", len(text), text, len(entries))
             table += b"".join(_ROW_ENTRY.pack(states[tgt], p, self._ids[tgt]) for tgt, p in entries)
         self._table = bytes(table)
-        self._seed_state = _avalanche(config.seed & _MASK64)
+        self._seed_state = _avalanche(config.seed)
 
     def translate(
         self,

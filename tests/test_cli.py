@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import multiprocessing
@@ -335,6 +336,101 @@ def test_echo_config_prints_before_a_failing_run(synthetic_work, capsys):
     err = capsys.readouterr().err
     assert "not in lexicon" in err
     assert _echoed(err)["char_mode"] is True
+
+
+def test_the_predictor_seed_alone_seeds_a_draw(synthetic_work, capsys):
+    """One draw seed: a drawing predictor's seeds each draw their own probes,
+    and every seed value that would draw like another one is refused."""
+    base = json.loads((synthetic_work / "run.json").read_text(encoding="utf-8"))
+
+    def run(change: dict, *flags: str) -> int:
+        config = {**base, "lm_path": "work/lm.json", **change}
+        Path("seeded.json").write_text(json.dumps(config), encoding="utf-8")
+        return main(["run", "--config", "seeded.json", *flags])
+
+    def dynamic(**predictor) -> dict:
+        return {"strategy": {"kind": "dynamic", "predictor": predictor}}
+
+    # (a) seeds 0, 1 and 2**64 - 1 write pairwise different trace lines
+    for strategy in ("random", "lm_sample"):
+        bodies = set()
+        for seed in (0, 1, 2**64 - 1):
+            traces = f"{strategy}-{seed}.jsonl"
+            assert run(dynamic(strategy=strategy, k=2, n=2, seed=seed),
+                       "--traces-out", traces) == 0
+            bodies.add(Path(traces).read_text(encoding="utf-8").split("\n", 1)[1])
+        assert len(bodies) == 3, strategy
+    capsys.readouterr()
+
+    # (b) a refused value exits 2 naming its key, before any trace is written
+    random_0 = dynamic(strategy="random", seed=0)
+    toy = base["translator"]
+    for change, flags, named in [
+        ({"seed": 1}, (), "bad run config: seed must be 0, got 1: use strategy.predictor.seed"),
+        ({"seed": 1, **random_0}, (), "bad run config: seed must be 0, got 1"),
+        (dynamic(strategy="random", seed=-1), (),
+         "strategy.predictor: seed must be in [0, 2**64), got -1"),
+        (dynamic(strategy="lm_sample", seed=2**64), (),
+         f"strategy.predictor: seed must be in [0, 2**64), got {2**64}"),
+        (dynamic(strategy="lm_greedy", seed=7), (),
+         "strategy.predictor: seed is for lm_sample and random only, got 7 with lm_greedy"),
+        (dynamic(strategy="unknown", seed=7), (),
+         "strategy.predictor: seed is for lm_sample and random only, got 7 with unknown"),
+        ({"translator": {**toy, "seed": -1}}, (),
+         "translator: toy translator: seed must be in [0, 2**64), got -1"),
+        ({"translator": {**toy, "seed": 2**64}}, (),
+         f"translator: toy translator: seed must be in [0, 2**64), got {2**64}"),
+        ({}, ("--model-seed", "-1"), "translator: toy translator: seed must be in [0, 2**64)"),
+    ]:
+        assert run(change, *flags, "--traces-out", "refused.jsonl") == 2, named
+        assert named in capsys.readouterr().err
+        assert not Path("refused.jsonl").exists()
+    Path("sweep.json").write_text(
+        json.dumps({"base": {**base, "seed": 1}, "axes": {"k_mask": [1]}}), encoding="utf-8"
+    )
+    assert main(["sweep", "--spec", "sweep.json", "--out-dir", "results", "--traces"]) == 2
+    assert "bad sweep spec: base: seed must be 0, got 1" in capsys.readouterr().err
+    assert not Path("results/mask_k=1.jsonl").exists()
+
+    # (c) a header that holds a run seed, under its own hash, is refused
+    header, rest = Path("random-0.jsonl").read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(header)
+    header["config"]["seed"] = 3
+    canonical = json.dumps(header["config"], sort_keys=True, ensure_ascii=False)
+    header["config_hash"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    Path("seed3.jsonl").write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    assert main(["metrics", "--traces", "seed3.jsonl"]) == 2
+    assert "run header: bad run config: seed must be 0, got 3" in capsys.readouterr().err
+
+    # (d) run takes no --seed
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", "work/run.json", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--traces-out", "--metrics-out"])
+def test_dev_stdout_redirected_to_a_file_keeps_every_line_in_order(workspace, flag):
+    """With standard output on a regular file, /dev/stdout names that file:
+    what is written to it and what is printed after both stay, in order."""
+    tmp_path, _, cfg_path = workspace
+    out = tmp_path / "out.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+    with open(out, "wb") as stdout:
+        subprocess.run(
+            [sys.executable, "-m", "retransim.cli", "run", "--config", str(cfg_path),
+             flag, "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, check=True, timeout=60,
+        )
+    *written, csv_header, csv_row = out.read_text(encoding="utf-8").splitlines()
+    assert csv_header.startswith("strategy,AL,NE,BLEU") and csv_row.startswith("none,")
+    if flag == "--traces-out":
+        header, *traces = map(json.loads, written)
+        assert header["kind"] == "run_header"
+        assert [trace["sentence_id"] for trace in traces] == list(range(6))
+    else:  # the metrics file, then the same lines printed
+        assert written == [csv_header, csv_row]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_sweep_cells_and_labels(workspace):

@@ -467,9 +467,9 @@ json_values = st.recursive(
 
 predictors = st.one_of(
     st.builds(PredictorConfig, strategy=st.sampled_from(["lm_sample", "random"]),
-              k=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**64)),
+              k=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**64 - 1)),
     st.builds(PredictorConfig, strategy=st.sampled_from(["lm_greedy", "unknown"]),
-              k=st.integers(1, 5), seed=st.integers(0, 2**64)),
+              k=st.integers(1, 5)),
 )
 betas = st.sampled_from([0.0, 0.25, 0.5, 1, 1.0])
 
@@ -492,7 +492,7 @@ translators = st.one_of(
             "beam_size": st.integers(1, 8),
             "distortion": st.sampled_from([0.5, 1, 1.0]),
             "instability": st.sampled_from([0, 0.0, 2.5]),
-            "seed": st.integers(-5, 5),
+            "seed": st.integers(0, 5),
         },
     ),
     st.fixed_dictionaries(
@@ -508,7 +508,6 @@ run_configs = st.builds(
     translator=translators,
     strategy=strategies(),
     char_mode=st.booleans(),
-    seed=st.integers(-(2**70), 2**70),
     lm_path=st.none() | st.text(max_size=8),
     ne_mode=st.sampled_from(["mean", "corpus"]),
 )

@@ -216,8 +216,7 @@ def _noisy_corpus_config(tmp_path, strategy: StrategyConfig, **overrides) -> Run
 
 def test_determinism_and_parallelism_independence(tmp_path):
     cfg = _noisy_corpus_config(
-        tmp_path, StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2)),
-        seed=3,
+        tmp_path, StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2, seed=3))
     )
     t1, p1 = run_corpus(cfg)
     t2, p2 = run_corpus(cfg)
@@ -420,7 +419,7 @@ def test_a_failed_trace_read_leaves_its_file_closed(tmp_path):
 def test_writers_refuse_a_config_their_readers_refuse(tmp_path, write):
     # built directly, so no reader has checked it
     cfg = RunConfig(source_path="(mem)", reference_path="(mem)", translator={"kind": "scripted"},
-                    strategy=StrategyConfig("none"), seed=1.5)
+                    strategy=StrategyConfig("none"))
     path = tmp_path / "out.json"
     with pytest.raises(ConfigError, match="^" + re.escape(f"{path}")):
         write(path, cfg)
@@ -678,7 +677,6 @@ def test_run_config_round_trip(tmp_path):
         StrategyConfig(
             "dynamic", predictor=PredictorConfig("lm_sample", k=2, n=3, seed=4), bias_beta=0.5
         ),
-        seed=9,
         char_mode=False,
         ne_mode="corpus",
     )
@@ -717,7 +715,7 @@ def test_run_corpus_validates_lm_requirement(tmp_path):
 def test_bias_changes_decoding_on_unstable_model(tmp_path):
     # with strong bias the retranslations stick to the previous output more
     # often, so erasure cannot grow
-    base = _noisy_corpus_config(tmp_path, StrategyConfig("none"), seed=2)
+    base = _noisy_corpus_config(tmp_path, StrategyConfig("none"))
     _, plain = run_corpus(base)
     biased_cfg = dataclasses.replace(base, strategy=StrategyConfig("none", bias_beta=0.9))
     traces, biased = run_corpus(biased_cfg)
@@ -739,8 +737,6 @@ def _reference_session(cfg: RunConfig, pair, models: Models) -> SessionTrace:
     translator = models.translator
     source = pair.source
     predictor = strat.predictor
-    if predictor is not None:
-        predictor = dataclasses.replace(predictor, seed=predictor.seed ^ cfg.seed)
     previous = ()
     full = None
     if strat.kind == "oracle":
@@ -802,15 +798,14 @@ CORE_CELLS = st.one_of(
     st.builds(
         lambda strategy, k, n, seed, b: StrategyConfig(
             "dynamic", bias_beta=b,
-            # only a drawing predictor makes more than one extension
-            predictor=PredictorConfig(
-                strategy, k=k, n=n if strategy in ("lm_sample", "random") else 1, seed=seed
-            ),
+            # only a drawing predictor makes more than one extension, or takes a seed
+            predictor=PredictorConfig(strategy, k=k, n=n, seed=seed)
+            if strategy in ("lm_sample", "random") else PredictorConfig(strategy, k=k),
         ),
         st.sampled_from(["lm_sample", "lm_greedy", "unknown", "random"]),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.integers(-2, 2),
+        st.integers(0, 3),
         BETAS,
     ),
 )
@@ -838,10 +833,9 @@ def core_cases(draw):
         lm=draw(st.sampled_from([lm, lm, None])),
         vocab=draw(st.sampled_from([frozenset(lm.vocabulary) - {UNK, EOS}, None])),
     )
-    seed = draw(st.integers(0, 3))
     cfgs = [
         RunConfig(source_path="unused", reference_path="unused", translator={"kind": "toy"},
-                  strategy=cell, seed=seed)
+                  strategy=cell)
         for cell in draw(st.lists(CORE_CELLS, min_size=1, max_size=5))
     ]
     return cfgs, pairs, models
