@@ -116,6 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise IsADirectoryError(f"{out!r} is a directory")
         if not Path(out).parent.is_dir():
             raise NotADirectoryError(f"{out!r}: {str(Path(out).parent)!r} is not a directory")
+    _refuse_one_file_twice(("--traces-out", args.traces_out), ("--metrics-out", args.metrics_out))
     traces, point = run_corpus(cfg)
     if args.traces_out:
         write_traces(args.traces_out, traces, cfg)
@@ -126,6 +127,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"config_hash: {config_hash(cfg)}", file=sys.stderr)
     print(*lines, sep="\n")
     return 0
+
+
+def _refuse_one_file_twice(first: tuple[str, str | None], second: tuple[str, str | None]) -> None:
+    """Refuse two paths of one command that resolve to one regular file, or to
+    one not made yet, so that neither file replaces the other; a path that
+    exists as no regular file (/dev/stdout on a pipe, /dev/null) may be given twice."""
+    (first_flag, first_path), (second_flag, second_path) = first, second
+    if not (first_path and second_path):
+        return
+    if os.path.realpath(first_path) == os.path.realpath(second_path) and (
+        os.path.isfile(first_path) or not os.path.exists(first_path)
+    ):
+        raise ValueError(
+            f"{second_flag} {second_path!r} names the same file as {first_flag} {first_path!r}"
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -153,6 +169,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    _refuse_one_file_twice(("--traces", args.traces), ("--out", args.out))
     cfg, traces = read_valid_traces(args.traces)
     point = aggregate(args.label or cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
     lines = csv_lines([point])

@@ -138,11 +138,12 @@ def test_run_metrics_roundtrip_bit_identical(workspace, capsys):
     metrics_path = tmp_path / "m.csv"
     assert main(["run", "--config", str(cfg_path), "--strategy", "mask_k", "--k-mask", "2",
                  "--traces-out", str(traces_path), "--metrics-out", str(metrics_path)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == metrics_path.read_text()  # prints the CSV it writes
     recomputed = tmp_path / "m2.csv"
     assert main(["metrics", "--traces", str(traces_path), "--out", str(recomputed)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == recomputed.read_text()
     assert metrics_path.read_text() == recomputed.read_text()
+    assert not list(tmp_path.glob("*.tmp"))  # every file was renamed into place
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):
@@ -409,27 +410,42 @@ def test_the_predictor_seed_alone_seeds_a_draw(synthetic_work, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--traces-out", "--metrics-out"])
-def test_dev_stdout_redirected_to_a_file_keeps_every_line_in_order(workspace, flag):
+@pytest.mark.parametrize(
+    "flags, piped",
+    [(["--traces-out", "/dev/stdout"], False), (["--metrics-out", "/dev/stdout"], False),
+     (["--traces-out", "/dev/stdout"], True),
+     # a path that exists as no regular file may be given twice
+     (["--traces-out", "/dev/null", "--metrics-out", "/dev/null"], True)],
+    ids=["--traces-out", "--metrics-out", "--traces-out-piped", "dev-null"],
+)
+def test_dev_stdout_redirected_to_a_file_keeps_every_line_in_order(workspace, flags, piped):
     """With standard output on a regular file, /dev/stdout names that file:
-    what is written to it and what is printed after both stay, in order."""
+    what is written to it and what is printed after both stay, in order. So
+    they do with standard output on a pipe, and /dev/null takes what is
+    written to it and drops it."""
     tmp_path, _, cfg_path = workspace
     out = tmp_path / "out.txt"
     env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
     with open(out, "wb") as stdout:
-        subprocess.run(
-            [sys.executable, "-m", "retransim.cli", "run", "--config", str(cfg_path),
-             flag, "/dev/stdout"],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, check=True, timeout=60,
+        child = subprocess.run(
+            [sys.executable, "-m", "retransim.cli", "run", "--config", str(cfg_path), *flags],
+            stdout=subprocess.PIPE if piped else stdout, stderr=subprocess.PIPE, env=env,
+            check=True, timeout=60,
         )
-    *written, csv_header, csv_row = out.read_text(encoding="utf-8").splitlines()
-    assert csv_header.startswith("strategy,AL,NE,BLEU") and csv_row.startswith("none,")
-    if flag == "--traces-out":
+    text = child.stdout.decode("utf-8") if piped else out.read_text(encoding="utf-8")
+    *written, csv_header, csv_row = text.splitlines()
+    plain = io.StringIO()  # what the same run prints with no output flag
+    with contextlib.redirect_stdout(plain), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    assert [csv_header, csv_row] == plain.getvalue().splitlines()
+    if flags == ["--traces-out", "/dev/stdout"]:
         header, *traces = map(json.loads, written)
         assert header["kind"] == "run_header"
         assert [trace["sentence_id"] for trace in traces] == list(range(6))
-    else:  # the metrics file, then the same lines printed
+    elif flags == ["--metrics-out", "/dev/stdout"]:  # the metrics file, then the same lines
         assert written == [csv_header, csv_row]
+    else:
+        assert written == []
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -485,8 +501,8 @@ def test_sweep_pareto_and_traces(workspace, tmp_path, capsys):
         "sweep", "--spec", str(spec_path), "--out-dir", str(out_dir),
         "--pareto", "--traces", "--parallelism", "2",
     ]) == 0
-    capsys.readouterr()
-    assert (out_dir / "sweep.csv").exists()
+    assert capsys.readouterr().out == (out_dir / "sweep.csv").read_text()  # prints what it writes
+    assert not list(out_dir.glob("*.tmp"))  # every file was renamed into place
     pareto_lines = (out_dir / "sweep_pareto.csv").read_text().strip().splitlines()
     assert pareto_lines[0] == TradeoffPoint.CSV_HEADER
     assert len(pareto_lines) >= 2
@@ -495,6 +511,10 @@ def test_sweep_pareto_and_traces(workspace, tmp_path, capsys):
     assert "mask_k=4.jsonl" in trace_files
     # oracle dominates everything on NE; it must be on the frontier
     assert any(line.startswith("oracle,") for line in pareto_lines[1:])
+    # every cell file reads back and scores
+    for name in trace_files:
+        for command in ("metrics", "mask-hist"):
+            assert main([command, "--traces", str(out_dir / name)]) == 0, (command, name)
 
 
 def test_sweep_workers_do_not_change_results(workspace):
@@ -763,6 +783,13 @@ def _renumber_first_step(header, traces):
     return f"sentence {traces[0]['sentence_id']}, step 1: step_index 7"
 
 
+def _lengthen_first_mask(header, traces):
+    rec = traces[0]["records"][0]  # a non-final step: every sentence has two tokens or more
+    rec["mask_length"] += 1
+    return (f"sentence {traces[0]['sentence_id']}, step 1: mask_length {rec['mask_length']}, "
+            f"expected {rec['mask_length'] - 1}")
+
+
 def _break_header_config(header, traces):
     header["config"] = {"strategy": {"kind": "bogus"}}
     return "run header: bad run config"
@@ -793,7 +820,8 @@ def _score_tampered(workspace, capsys, command, tamper):
 @pytest.mark.parametrize("command", ["metrics", "mask-hist"])
 @pytest.mark.parametrize(
     "tamper",
-    [_blank_one_display, _swap_first_traces, _renumber_first_step, _break_header_config],
+    [_blank_one_display, _swap_first_traces, _renumber_first_step, _lengthen_first_mask,
+     _break_header_config],
 )
 def test_tampered_traces_exit_2_before_scoring(workspace, capsys, command, tamper):
     traces_path, problem, err = _score_tampered(workspace, capsys, command, tamper)
@@ -942,11 +970,17 @@ _RUN_FILES = ["run", "--source", "corpus.src", "--reference", "corpus.ref"]
         ({}, ["run", "--config", "run.json", "--strategy", "dynamic", "--predictor", "random",
               "--pred-n", "0"], "flags over run.json: bad run config: strategy.predictor: n must "
          "be >= 1"),
+        # one file given twice: the second write would replace the first
+        ({}, ["run", "--config", "run.json", "--traces-out", "b.jsonl", "--metrics-out",
+              "./b.jsonl"], "--metrics-out './b.jsonl' names the same file as --traces-out "
+         "'b.jsonl'"),
+        ({"m.jsonl": "traces\n"}, ["metrics", "--traces", "m.jsonl", "--out", "./m.jsonl"],
+         "--out './m.jsonl' names the same file as --traces 'm.jsonl'"),
     ],
     ids=["script-empty-prefix", "empty-trace-file", "train-lm-empty-source",
          "lexicon-empty-source", "min-len", "vocab", "negative-seed", "synthetic-instability",
          "synthetic-instability-nan", "lm-version", "lm-token", "lm-counted-token", "beta",
-         "pred-n"],
+         "pred-n", "run-outputs-one-file", "metrics-out-over-its-traces"],
 )
 def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch, capsys, files,
                                                           argv, problem):
@@ -961,6 +995,8 @@ def test_file_or_flag_boundary_exits_2_naming_the_problem(workspace, monkeypatch
     assert f"error: {problem}" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+    for name, text in files.items():  # an input is left as it was
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
 
 
 def test_instability_past_exps_range_exits_2_before_simulating(workspace, monkeypatch, capsys):
@@ -972,21 +1008,63 @@ def test_instability_past_exps_range_exits_2_before_simulating(workspace, monkey
     assert captured.out == ""
 
 
+@pytest.fixture(scope="module")
+def walkthrough_work(tmp_path_factory):
+    """The README walkthrough's default make-synthetic corpus (200 sentences),
+    its LM, and its lexicon without 'vedita', which sentence 1 holds and
+    sentence 0 lacks."""
+    work = tmp_path_factory.mktemp("walkthrough")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["make-synthetic", "--out-dir", str(work)]) == 0
+        assert main(["train-lm", "--source", str(work / "synthetic.src"), "--order", "3",
+                     "--out", str(work / "lm.json")]) == 0
+    lexicon = (work / "synthetic.lexicon").read_text(encoding="utf-8").splitlines(keepends=True)
+    (work / "short.lexicon").write_text(
+        "".join(line for line in lexicon if not line.startswith("vedita |||")), encoding="utf-8"
+    )
+    return work
+
+
+_LM_GREEDY = ["--strategy", "dynamic", "--predictor", "lm_greedy", "--pred-k", "1",
+              "--lm", "lm.json"]
+
+
 @pytest.mark.parametrize(
-    "flags, code",
-    [(["--instability", "1000"], 2), (["--distortion", "1e-100", "--beam-size", "8"], 0)],
-    ids=["instability-past-exps-range", "underflowing-distortion"],
+    "flags, code, problem",
+    [
+        (["--instability", "1000"], 2, "toy translator: instability must be in [0, 709."),
+        (["--distortion", "1e-100", "--beam-size", "8"], 0, "config_hash: "),
+        (_LM_GREEDY, 0, "config_hash: "),
+        # biased: each batch carries the previous outputs
+        ([*_LM_GREEDY, "--beta", "0.5"], 0, "config_hash: "),
+        (["--strategy", "mask_k", "--k-mask", "2"], 0, "config_hash: "),
+        # the full-sentence translation joins each sentence's batch
+        (["--strategy", "oracle"], 0, "config_hash: "),
+        # the forked child's shard fails first, and its located error crosses the pipe
+        (["--lexicon", "short.lexicon", "--parallelism", "2"], 2,
+         "error: sentence 1, step 2: source token 'vedita' not in lexicon\n"),
+    ],
+    ids=["instability-past-exps-range", "underflowing-distortion", "dynamic-lm-greedy",
+         "biased", "mask-k", "oracle", "lexicon-without-a-token"],
 )
-def test_run_outcome_does_not_depend_on_the_kernel(tmp_path, monkeypatch, capsys, flags, code):
-    assert main(["make-synthetic", "--out-dir", str(tmp_path), "--sentences", "20"]) == 0
-    argv = ["run", "--config", str(tmp_path / "run.json"), *flags]
-    capsys.readouterr()
+def test_run_outcome_does_not_depend_on_the_kernel(walkthrough_work, tmp_path, monkeypatch,
+                                                   capsys, flags, code, problem):
+    """The C kernel and the Python beam search, which forked children
+    inherit, give the same exit code, output, errors and trace bytes."""
+    monkeypatch.chdir(walkthrough_work)
+    traces = tmp_path / "t.jsonl"
+    argv = ["run", "--config", "run.json", *flags, "--traces-out", str(traces)]
     outcomes = []
     for kernel in (translator._kernel, None):
         monkeypatch.setattr(translator, "_kernel", kernel)
-        outcomes.append((main(argv), capsys.readouterr().out))
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        outcomes.append((exit_code, captured.out, captured.err,
+                         traces.read_bytes() if traces.exists() else None))
+        traces.unlink(missing_ok=True)
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code
+    assert problem in outcomes[0][2]
 
 
 @pytest.mark.parametrize(
