@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import read_lines, tokenize, write_lines
+from .core import _join, read_lines, tokenize, write_lines
 from .metrics import NE_MODES, aggregate, csv_lines, mask_histogram, pareto_frontier
 from .predict import (
     STRATEGIES,
@@ -63,6 +63,7 @@ _INPUT_ERRORS = (
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
+    _refuse_one_file_twice([("--source", args.source)], [("--out", args.out)])
     corpus = [tokenize(line, args.char_mode) for line in read_lines(args.source)]
     corpus = [sent for sent in corpus if sent]
     if not corpus:
@@ -116,7 +117,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise IsADirectoryError(f"{out!r} is a directory")
         if not Path(out).parent.is_dir():
             raise NotADirectoryError(f"{out!r}: {str(Path(out).parent)!r} is not a directory")
-    _refuse_one_file_twice(("--traces-out", args.traces_out), ("--metrics-out", args.metrics_out))
+    _refuse_one_file_twice(
+        [("--config", args.config), *_config_inputs(cfg, given=args)],
+        [("--traces-out", args.traces_out), ("--metrics-out", args.metrics_out)],
+    )
     traces, point = run_corpus(cfg)
     if args.traces_out:
         write_traces(args.traces_out, traces, cfg)
@@ -129,19 +133,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_one_file_twice(first: tuple[str, str | None], second: tuple[str, str | None]) -> None:
-    """Refuse two paths of one command that resolve to one regular file, or to
-    one not made yet, so that neither file replaces the other; a path that
-    exists as no regular file (/dev/stdout on a pipe, /dev/null) may be given twice."""
-    (first_flag, first_path), (second_flag, second_path) = first, second
-    if not (first_path and second_path):
-        return
-    if os.path.realpath(first_path) == os.path.realpath(second_path) and (
-        os.path.isfile(first_path) or not os.path.exists(first_path)
+def _config_inputs(cfg: RunConfig, key: str = "", given: argparse.Namespace | None = None):
+    """(name, path) of each file cfg reads: the run flag that set it, when
+    given holds that flag, or else its key in the config under key."""
+    for name, flag, path in (
+        ("source_path", "--source", cfg.source_path),
+        ("reference_path", "--reference", cfg.reference_path),
+        ("translator.lexicon_path", "--lexicon", cfg.translator.get("lexicon_path")),
+        ("translator.script_path", "--script", cfg.translator.get("script_path")),
+        ("lm_path", "--lm", cfg.lm_path),
     ):
-        raise ValueError(
-            f"{second_flag} {second_path!r} names the same file as {first_flag} {first_path!r}"
-        )
+        if path is not None:
+            by_flag = given is not None and getattr(given, flag[2:]) is not None
+            yield flag if by_flag else _join(".", key, name), path
+
+
+def _refuse_one_file_twice(inputs, outputs) -> None:
+    """Refuse, before any work, an output path that resolves to one of the
+    command's inputs or to an earlier output, as a regular file or one not
+    made yet, so that no write replaces a file the command reads or writes.
+    inputs and outputs are (flag, path) pairs, path None where not given; a
+    path that exists as no regular file (/dev/stdout on a pipe, /dev/null)
+    may be given twice."""
+    seen = [(flag, path) for flag, path in inputs if path]
+    for flag, path in outputs:
+        if not path:
+            continue
+        if os.path.isfile(path) or not os.path.exists(path):
+            for other_flag, other in seen:
+                if os.path.realpath(other) == os.path.realpath(path):
+                    raise ValueError(
+                        f"{flag} {str(path)!r} names the same file as {other_flag} {str(other)!r}"
+                    )
+        seen.append((flag, path))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -149,19 +173,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = dataclasses.replace(spec.base, parallelism=args.parallelism)
     spec = dataclasses.replace(spec, base=base)
     out_dir = Path(args.out_dir)
+    csv_path, pareto_path = out_dir / "sweep.csv", out_dir / "sweep_pareto.csv"
+    cell_paths = {
+        cell.label: out_dir / (re.sub(r"[^A-Za-z0-9._=,+-]", "_", cell.label) + ".jsonl")
+        for cell in spec.cells()
+    }
+    outputs = [csv_path, pareto_path if args.pareto else None,
+               *(cell_paths.values() if args.traces else ())]
+    _refuse_one_file_twice([("--spec", args.spec), *_config_inputs(base, "base")],
+                      [("--out-dir", path) for path in outputs])
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(spec)
     if args.traces:  # every cell is scored by now
         for cell, _, traces in results:
-            path = out_dir / (re.sub(r"[^A-Za-z0-9._=,+-]", "_", cell.label) + ".jsonl")
-            write_traces(path, traces, dataclasses.replace(spec.base, strategy=cell))
+            cfg = dataclasses.replace(spec.base, strategy=cell)
+            write_traces(cell_paths[cell.label], traces, cfg)
     points = [point for _, point, _ in results]
     lines = csv_lines(points)
-    csv_path = out_dir / "sweep.csv"
     write_lines(csv_path, lines)
     print(f"wrote {len(points)} cells to {csv_path}", file=sys.stderr)
     if args.pareto:
-        pareto_path = out_dir / "sweep_pareto.csv"
         write_lines(pareto_path, csv_lines(pareto_frontier(points)))
         print(f"wrote Pareto frontier to {pareto_path}", file=sys.stderr)
     print(*lines, sep="\n")
@@ -169,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    _refuse_one_file_twice(("--traces", args.traces), ("--out", args.out))
+    _refuse_one_file_twice([("--traces", args.traces)], [("--out", args.out)])
     cfg, traces = read_valid_traces(args.traces)
     point = aggregate(args.label or cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
     lines = csv_lines([point])

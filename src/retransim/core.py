@@ -3,6 +3,11 @@
 A token sequence is a plain tuple of strings, so equality, hashing and
 slicing behave the way the rest of the package expects. All record types
 are frozen dataclasses: traces can be shared freely between workers.
+StepRecord and SessionTrace, of which a run holds one per step and one per
+sentence, are slotted, so they carry no per-instance attribute dict, and
+pickle as their constructor call (see __reduce__). Records need not own
+their sequences: the trace reader hands out equal token sequences of one
+trace as one tuple.
 
 Every text file the package opens is opened here: read by numbered_lines
 (JSON through load_json, its objects through read_config, which takes its
@@ -15,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -95,7 +101,7 @@ class SentencePair:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """State of one simulated ASR update.
 
@@ -113,8 +119,13 @@ class StepRecord:
     probes: tuple[TokenSeq, ...] = ()
     n_translate_calls: int = 1
 
+    def __reduce__(self):
+        # the constructor call: dataclasses' __setstate__ for slotted frozen
+        # classes sets each field in Python, twice as slow to unpickle
+        return StepRecord, _record_values(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SessionTrace:
     """Per-sentence record of every update, hypothesis and emitted output."""
 
@@ -122,6 +133,16 @@ class SessionTrace:
     records: tuple[StepRecord, ...]
     final_output: TokenSeq
     reference: TokenSeq | None = None
+
+    def __reduce__(self):
+        return SessionTrace, _trace_values(self)
+
+
+# a StepRecord's field names, and each record type's values in field
+# order, as __reduce__ and sim.validate_trace take them
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(StepRecord))
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
+_trace_values = operator.attrgetter(*(field.name for field in dataclasses.fields(SessionTrace)))
 
 
 def read_lines(path: str | Path) -> list[str]:

@@ -16,8 +16,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import multiprocessing
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -25,6 +23,7 @@ from pathlib import Path
 
 from .core import CorpusError, SentencePair, SessionTrace, StepRecord, TokenSeq, read_corpus
 from .core import ConfigError, _join, load_json, numbered_lines, read_config, write_lines
+from .core import _RECORD_FIELDS, _record_values
 from .metrics import NE_MODES, MetricsError, TradeoffPoint, aggregate, erased_between
 from .predict import EOS, UNK, MissingLM, NgramLM, PredictorConfig, check_lm, load_lm
 from .predict import predict_extensions
@@ -415,7 +414,7 @@ def _simulate(
     sentence by sentence, so sharding never changes which error is seen.
     """
     jobs = min(jobs, len(pairs))
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if jobs > 1:
         shards = _run_forked(cfgs, pairs, models, jobs)
     else:
         shards = [_run_shard(cfgs, pairs, models)]
@@ -459,7 +458,12 @@ def _run_shard(cfgs, pairs, models):
 
 def _run_forked(cfgs, pairs, models, jobs: int) -> list:
     """The _run_shard results of the shards pairs[i::jobs], in shard order:
-    shard 0 run here, every other one in a forked child (see _simulate)."""
+    shard 0 run here, every other one in a forked child (see _simulate).
+    Where fork does not exist, the one shard of a serial run."""
+    import multiprocessing  # here, not at the top: a serial run never needs it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_shard(cfgs, pairs, models)]
     fork = multiprocessing.get_context("fork")
     children = []
     try:
@@ -644,6 +648,8 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
     null) and `sentence_id` an int. Each token is stored as
     `strings.setdefault(token, token)`, so traces built with one `strings`
     dict hold each distinct token once; read_traces keeps one per file.
+    Equal token sequences within the trace are one tuple, so its
+    final_output is its last record's emitted_output, say.
     """
     version = data.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
@@ -659,7 +665,7 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
     if strings is None:
         strings = {}
     known = len(strings)
-    share = strings.setdefault
+    share, seqs = strings.setdefault, {}
 
     def tokens(seq) -> TokenSeq:
         # a non-iterable fails in map, an iterable that is not an array here;
@@ -667,7 +673,7 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
         toks = tuple(map(share, seq, seq))
         if not isinstance(seq, (list, tuple)):
             raise TypeError(f"expected an array of strings, got {type(seq).__name__}")
-        return toks
+        return seqs.setdefault(toks, toks)
 
     records = []
     append = records.append
@@ -806,11 +812,6 @@ def read_valid_traces(path: str | Path) -> tuple[RunConfig, list[SessionTrace]]:
         except TraceInvariantError as exc:
             raise TraceInvariantError(f"{path}: {exc}") from exc
     return cfg, traces
-
-
-# a StepRecord's field names, and its values in that order, as _step_record returns them
-_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(StepRecord))
-_record_values = operator.attrgetter(*_RECORD_FIELDS)
 
 
 def validate_trace(trace: SessionTrace, strategy: StrategyConfig) -> None:

@@ -357,11 +357,12 @@ def _eos_weight(cfg: ToyModelConfig, source: TokenSeq, source_is_final: bool) ->
 #
 # _beam.c holds ToyLexicalTranslator's beam search, which translate_many
 # calls once per batch. It is compiled once with the system C compiler into
-# this package's __pycache__/, keyed by a sha256 of the source and the
-# flags, and loaded when this module is imported, so forked workers inherit
-# it. Without a compiler, or when the build or load fails, translate_many
-# runs the Python beam search, which is also the reference the kernel must
-# match bit for bit.
+# this package's __pycache__/, named by a sha256 of the source and one of
+# the flags, and loaded when this module is imported, so forked workers
+# inherit it. A build with other flags (a sanitized one, say) sits beside
+# it; the builds of an earlier source are removed. Without a compiler, or
+# when the build or load fails, translate_many runs the Python beam
+# search, which is also the reference the kernel must match bit for bit.
 
 _KERNEL_SOURCE = Path(__file__).with_name("_beam.c")
 # no -ffast-math and no fused multiply-adds: the kernel must round every
@@ -377,12 +378,11 @@ _REQUEST = struct.Struct("=iidd")
 _OFFSET = struct.Struct("=q")
 
 
-def _build_kernel() -> Path:
-    """Path of the compiled kernel, compiling it unless already cached."""
-    key = hashlib.sha256(
-        _KERNEL_SOURCE.read_bytes() + "\0".join(_KERNEL_FLAGS).encode()
-    ).hexdigest()[:16]
-    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_beam.{key}.so"
+def _build_kernel(flags: tuple[str, ...] = _KERNEL_FLAGS) -> Path:
+    """Path of the kernel compiled with flags, compiling it unless already cached."""
+    source_key = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    flags_key = hashlib.sha256("\0".join(flags).encode()).hexdigest()[:8]
+    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_beam.{source_key}.{flags_key}.so"
     if lib.exists():
         return lib
     cc = shutil.which("cc")
@@ -396,7 +396,7 @@ def _build_kernel() -> Path:
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         done = subprocess.run(
-            [cc, *_KERNEL_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
+            [cc, *flags, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
             capture_output=True,
             text=True,
         )
@@ -405,16 +405,16 @@ def _build_kernel() -> Path:
         os.replace(tmp, lib)
     finally:
         tmp.unlink(missing_ok=True)
-    for stale in lib.parent.glob("_beam.*.so"):  # earlier sources' or flags' builds
-        if stale != lib:
+    for stale in lib.parent.glob("_beam.*.so"):  # earlier sources' builds
+        if not stale.name.startswith(f"_beam.{source_key}."):
             stale.unlink(missing_ok=True)
     return lib
 
 
-def _load_kernel() -> ctypes.CDLL | None:
-    """The compiled kernel, or None after one warning when it is unavailable."""
+def _load_kernel(flags: tuple[str, ...] = _KERNEL_FLAGS) -> ctypes.CDLL | None:
+    """The kernel compiled with flags, or None after one warning when it is unavailable."""
     try:
-        kernel = ctypes.CDLL(str(_build_kernel()))
+        kernel = ctypes.CDLL(str(_build_kernel(flags)))
     except OSError as exc:
         logging.getLogger(__name__).warning(
             "toy decoder: C beam search unavailable (%s); using the Python beam search",

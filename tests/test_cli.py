@@ -319,6 +319,79 @@ def test_walkthrough_run_and_its_sweep_cell_write_one_file(synthetic_work):
     assert (synthetic_work / "dyn.jsonl").read_bytes() == cell
 
 
+def _sweep_over(name: str, base: dict) -> list[str]:
+    """Write a sweep spec of base and one mask_k cell to name; its sweep's argv."""
+    Path(name).write_text(json.dumps({"base": base, "axes": {"k_mask": [2]}}), encoding="utf-8")
+    return ["sweep", "--spec", name]
+
+
+def _spec_named_as_its_csv(work: Path) -> list[str]:
+    base = json.loads((work / "run.json").read_text(encoding="utf-8"))
+    return [*_sweep_over("sweep.csv", base), "--out-dir", "."]
+
+
+def _corpus_in_its_pareto_file(work: Path) -> list[str]:
+    Path("res").mkdir()
+    Path("res/sweep_pareto.csv").write_bytes((work / "synthetic.src").read_bytes())
+    base = json.loads((work / "run.json").read_text(encoding="utf-8"))
+    base["source_path"] = "res/sweep_pareto.csv"
+    return [*_sweep_over("s.json", base), "--out-dir", "res", "--pareto"]
+
+
+def _lexicon_as_its_cell_file(work: Path) -> list[str]:
+    base = json.loads((work / "run.json").read_text(encoding="utf-8"))
+    base["translator"]["lexicon_path"] = "work/mask_k=2.jsonl"
+    Path("work/mask_k=2.jsonl").write_bytes((work / "synthetic.lexicon").read_bytes())
+    return [*_sweep_over("s.json", base), "--out-dir", "work", "--traces"]
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["run", "--config", "work/run.json", "--metrics-out", "work/synthetic.src"],
+         "--metrics-out 'work/synthetic.src' names the same file as source_path "
+         "'work/synthetic.src'"),
+        (["train-lm", "--source", "work/synthetic.src", "--out", "work/synthetic.src"],
+         "--out 'work/synthetic.src' names the same file as --source 'work/synthetic.src'"),
+        (["run", "--config", "work/run.json", "--traces-out", "work/synthetic.lexicon"],
+         "--traces-out 'work/synthetic.lexicon' names the same file as translator.lexicon_path "
+         "'work/synthetic.lexicon'"),
+        (["run", "--config", "work/run.json", "--traces-out", "./work/run.json"],
+         "--traces-out './work/run.json' names the same file as --config 'work/run.json'"),
+        (["run", "--config", "work/run.json", "--reference", "work/synthetic.ref",
+          "--metrics-out", "work/../work/synthetic.ref"],
+         "--metrics-out 'work/../work/synthetic.ref' names the same file as --reference "
+         "'work/synthetic.ref'"),
+        (["run", "--config", "work/run.json", "--strategy", "dynamic", "--predictor", "lm_greedy",
+          "--lm", "work/lm.json", "--traces-out", "work/lm.json"],
+         "--traces-out 'work/lm.json' names the same file as --lm 'work/lm.json'"),
+        (_spec_named_as_its_csv, "--out-dir 'sweep.csv' names the same file as --spec 'sweep.csv'"),
+        (_corpus_in_its_pareto_file, "--out-dir 'res/sweep_pareto.csv' names the same file as "
+         "base.source_path 'res/sweep_pareto.csv'"),
+        (_lexicon_as_its_cell_file, "--out-dir 'work/mask_k=2.jsonl' names the same file as "
+         "base.translator.lexicon_path 'work/mask_k=2.jsonl'"),
+    ],
+    ids=["run-metrics-over-source", "train-lm-over-its-source", "run-traces-over-lexicon",
+         "run-traces-over-config", "run-metrics-over-reference-flag", "run-traces-over-lm",
+         "sweep-csv-over-spec", "sweep-pareto-over-base-source", "sweep-cell-over-base-lexicon"],
+)
+def test_an_output_over_an_input_exits_2_before_any_work(synthetic_work, monkeypatch, capsys,
+                                                         argv, problem):
+    """No command writes over a file it reads: each output path is refused,
+    before any work, when it resolves to an input or to another output."""
+    if callable(argv):
+        argv = argv(synthetic_work)
+    files = {path: path.read_bytes() for path in Path().rglob("*") if path.is_file()}
+    monkeypatch.setattr(sim, "simulate_sentence", None)
+    monkeypatch.setattr("retransim.cli.train_lm", None)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {problem}\n"
+    assert captured.out == ""
+    # every input is left byte for byte, and no output is made
+    assert {path: path.read_bytes() for path in Path().rglob("*") if path.is_file()} == files
+
+
 def _echoed(err: str) -> dict:
     return json.loads(next(line for line in err.splitlines() if line.startswith("{")))
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 import random
 import re
 
@@ -12,6 +14,8 @@ from retransim.core import (
     CorpusError,
     CorpusLengthMismatch,
     SentencePair,
+    SessionTrace,
+    StepRecord,
     check_tokens,
     common_prefix_length,
     is_prefix,
@@ -127,6 +131,26 @@ def test_sentence_pair_requires_nonempty():
         SentencePair(source=(), reference=("x",), sentence_id=0)
     with pytest.raises(CorpusError):
         SentencePair(source=("x",), reference=(), sentence_id=0)
+
+
+def test_records_are_slotted_and_pickle_as_their_constructor_call():
+    """A run holds one StepRecord per step: no per-instance dict, and the fork
+    hand-off pickles each as its constructor call, sequences shared as given."""
+    shown = seq("x")
+    rec = StepRecord(2, seq("a b"), seq("x y"), shown, 1, False, (seq("x y z"),), 2)
+    trace = SessionTrace(0, (rec,), shown, seq("x y"))
+    for obj in (rec, trace):
+        assert not hasattr(obj, "__dict__")
+        values = tuple(getattr(obj, field.name) for field in dataclasses.fields(obj))
+        assert obj.__reduce__() == (type(obj), values)
+        copied = pickle.loads(pickle.dumps(obj))
+        assert copied == obj and hash(copied) == hash(obj)
+    copied = pickle.loads(pickle.dumps(trace))
+    assert copied.final_output is copied.records[-1].emitted_output
+    unmasked = StepRecord(2, seq("a b"), seq("x y"), shown, 0, False, (seq("x y z"),), 2)
+    assert dataclasses.replace(rec, mask_length=0) == unmasked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.mask_length = 0
 
 
 def test_read_corpus(tmp_path):

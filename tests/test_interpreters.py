@@ -8,7 +8,8 @@ generates the pinned corpus and trains its LM under that interpreter;
 every cell is compared with bench/golden.json. Interpreters are looked
 for in pyenv's versions directory and as python3.N on PATH; with none
 found the test skips. The package needs no numpy: the last test runs
-make-synthetic with numpy unimportable.
+make-synthetic with numpy unimportable, and the test after it imports the
+package without multiprocessing.
 """
 
 from __future__ import annotations
@@ -142,3 +143,17 @@ def test_cli_import_leaves_numpy_out(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in (child_dir / "work").iterdir()) == names
     for name in names:
         assert (child_dir / "work" / name).read_bytes() == (own_dir / "work" / name).read_bytes()
+
+
+def test_package_import_leaves_multiprocessing_out():
+    # only a parallel run imports multiprocessing: ~8 ms and ~1 MiB a serial process never needs
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, retransim, retransim.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

@@ -241,6 +241,24 @@ def test_trace_round_trip_and_replay_equality(tmp_path):
     assert replayed == point  # bit-identical floats
 
 
+def test_read_traces_hands_out_one_tuple_per_equal_token_sequence(tmp_path):
+    cfg = _noisy_corpus_config(
+        tmp_path, StrategyConfig("dynamic", predictor=PredictorConfig("random", k=2, n=2, seed=3))
+    )
+    traces, _ = run_corpus(cfg)
+    path = tmp_path / "traces.jsonl"
+    write_traces(path, traces, cfg)
+    _, loaded = read_traces(path)
+    assert loaded == traces
+    for trace in loaded:
+        assert trace.final_output is trace.records[-1].emitted_output
+        first: dict = {}  # each sequence's first tuple in the trace
+        for rec in trace.records:
+            for toks in (rec.source_prefix, rec.raw_hypothesis, rec.emitted_output, *rec.probes):
+                assert first.setdefault(toks, toks) is toks
+        assert first.setdefault(trace.reference, trace.reference) is trace.reference
+
+
 def test_read_traces_skips_blank_lines(tmp_path):
     cfg = _noisy_corpus_config(tmp_path, StrategyConfig("mask_k", k_mask=2))
     traces, _ = run_corpus(cfg)

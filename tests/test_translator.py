@@ -8,6 +8,9 @@ import os
 import random
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -653,14 +656,13 @@ def test_kernel_build_failure_names_the_exit_code_and_stderr(tmp_path, monkeypat
     cc.write_text("#!/bin/sh\necho 'cc: error: bad flag' >&2\nexit 1\n", encoding="utf-8")
     cc.chmod(0o755)
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
-    # a new cache key, so no cached build answers
-    monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
+    flags = translator._KERNEL_FLAGS + ("-g",)  # a new cache key, so no cached build answers
     cache = translator._KERNEL_SOURCE.parent / "__pycache__"
     before = sorted(cache.glob("_beam.*"))
     with pytest.raises(OSError, match=f"^{re.escape(str(cc))} exited 1: cc: error: bad flag$"):
-        translator._build_kernel()
+        translator._build_kernel(flags)
     with caplog.at_level(logging.WARNING, logger="retransim.translator"):
-        assert translator._load_kernel() is None
+        assert translator._load_kernel(flags) is None
     assert len(caplog.records) == 1
     assert "cc: error: bad flag" in caplog.text
     assert sorted(cache.glob("_beam.*")) == before  # no temporary left, no build removed
@@ -676,9 +678,8 @@ def test_kernel_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):
     assert [p.name for p in lib.parent.iterdir()] == [lib.name]  # no temporary left
     monkeypatch.setenv("PATH", str(tmp_path))  # a cached build needs no compiler
     assert translator._build_kernel() == lib
-    monkeypatch.setattr(translator, "_KERNEL_FLAGS", translator._KERNEL_FLAGS + ("-g",))
     with pytest.raises(OSError, match="no C compiler"):
-        translator._build_kernel()
+        translator._build_kernel(translator._KERNEL_FLAGS + ("-g",))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -695,6 +696,56 @@ def test_kernel_build_removes_stale_libraries(tmp_path, monkeypatch):
     assert not stale.exists()
     assert sorted(p.name for p in cache.iterdir()) == sorted([lib.name, "core.cpython-311.pyc"])
     assert translator._build_kernel() == lib  # the fresh library stays cached
+    other = translator._build_kernel(translator._KERNEL_FLAGS + ("-g",))
+    assert other != lib and lib.exists()  # a build with other flags sits beside it
+
+
+# the kernel built for AddressSanitizer and UndefinedBehaviorSanitizer; the
+# rounding flag stays, so it must still match the Python search bit for bit
+_SANITIZED_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=all", "-ffp-contract=off", "-fPIC", "-shared")
+# the tests that compare the kernel with the Python search, by name; not
+# the test that runs them
+_KERNEL_TESTS = ("(kernel_matches_python or beta_zero or beams_wider or unit_interval "
+                 "or translate_many_equals) and not sanitizers")
+# a process whose kernel is the sanitized build runs those tests of this
+# file, uncaptured, so that a sanitizer's report reaches its stderr
+_UNDER_SANITIZERS = """
+import sys
+import pytest
+from retransim import translator
+translator._kernel = translator._load_kernel(tuple(sys.argv[1].split()))
+if translator._kernel is None:
+    sys.exit("the sanitized kernel did not build or load")
+sys.exit(pytest.main(["-q", "-s", "-p", "no:cacheprovider", "-k", sys.argv[2], sys.argv[3]]))
+"""
+
+
+def test_kernel_under_address_and_undefined_behavior_sanitizers(tmp_path):
+    """An out-of-bounds access or undefined behaviour in _beam.c aborts the
+    run, though its outputs might still match. Python allocates with plain
+    malloc there, so the buffers the kernel reads carry the sanitizer's guards."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler 'cc' on PATH")
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        found = subprocess.run([cc, f"-print-file-name={name}"], capture_output=True, text=True)
+        if not Path(found.stdout.strip()).is_absolute():
+            pytest.skip(f"{cc} has no {name} runtime")
+        runtimes.append(found.stdout.strip())
+    root = Path(translator.__file__).parents[1]
+    here = Path(__file__).resolve()
+    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc", PYTHONPATH=os.pathsep.join([str(root), str(here.parent)]))
+    child = subprocess.run(
+        [sys.executable, "-c", _UNDER_SANITIZERS, " ".join(_SANITIZED_FLAGS), _KERNEL_TESTS,
+         str(here)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    shown = (child.stdout + child.stderr)[-3000:]
+    assert child.returncode == 0, shown
+    assert " passed" in child.stdout and "skipped" not in child.stdout, shown
 
 
 # ---------------------------------------------------------------------------
