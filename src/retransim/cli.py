@@ -112,11 +112,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(_resolve_run_config(args), parallelism=args.parallelism)
     if args.echo_config:  # before the run, so a failed run still shows its config
         print(json.dumps(cfg.to_dict(), sort_keys=True), file=sys.stderr)
-    for out in filter(None, (args.traces_out, args.metrics_out)):  # refused before the run
-        if Path(out).is_dir():
-            raise IsADirectoryError(f"{out!r} is a directory")
-        if not Path(out).parent.is_dir():
-            raise NotADirectoryError(f"{out!r}: {str(Path(out).parent)!r} is not a directory")
     _refuse_one_file_twice(
         [("--config", args.config), *_config_inputs(cfg, given=args)],
         [("--traces-out", args.traces_out), ("--metrics-out", args.metrics_out)],
@@ -148,17 +143,23 @@ def _config_inputs(cfg: RunConfig, key: str = "", given: argparse.Namespace | No
             yield flag if by_flag else _join(".", key, name), path
 
 
-def _refuse_one_file_twice(inputs, outputs) -> None:
-    """Refuse, before any work, an output path that resolves to one of the
-    command's inputs or to an earlier output, as a regular file or one not
-    made yet, so that no write replaces a file the command reads or writes.
-    inputs and outputs are (flag, path) pairs, path None where not given; a
-    path that exists as no regular file (/dev/stdout on a pipe, /dev/null)
-    may be given twice."""
+def _refuse_one_file_twice(inputs, outputs, makes: Path | None = None) -> None:
+    """Refuse, before any work, an output path that is a directory, that
+    lies in no directory (makes, the one the command makes, counts as one),
+    or that resolves to one of the command's inputs or to an earlier output,
+    as a regular file or one not made yet, so that no write replaces a file
+    the command reads or writes. inputs and outputs are (flag, path) pairs,
+    path None where not given; a path that exists as no regular file
+    (/dev/stdout on a pipe, /dev/null) may be given twice."""
     seen = [(flag, path) for flag, path in inputs if path]
     for flag, path in outputs:
         if not path:
             continue
+        parent = Path(path).parent
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{str(path)!r} is a directory")
+        if not (parent.is_dir() or parent == makes):
+            raise NotADirectoryError(f"{str(path)!r}: {str(parent)!r} is not a directory")
         if os.path.isfile(path) or not os.path.exists(path):
             for other_flag, other in seen:
                 if os.path.realpath(other) == os.path.realpath(path):
@@ -181,7 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     outputs = [csv_path, pareto_path if args.pareto else None,
                *(cell_paths.values() if args.traces else ())]
     _refuse_one_file_twice([("--spec", args.spec), *_config_inputs(base, "base")],
-                      [("--out-dir", path) for path in outputs])
+                           [("--out-dir", path) for path in outputs], makes=out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(spec)
     if args.traces:  # every cell is scored by now
@@ -202,7 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     _refuse_one_file_twice([("--traces", args.traces)], [("--out", args.out)])
     cfg, traces = read_valid_traces(args.traces)
-    point = aggregate(args.label or cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
+    point = aggregate(cfg.strategy.label, traces, ne_mode=cfg.ne_mode)
     lines = csv_lines([point])
     if args.out:
         write_lines(args.out, lines)
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="recompute metrics from a trace file")
     p.add_argument("--traces", required=True)
-    p.add_argument("--label")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_metrics)
 

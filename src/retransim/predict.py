@@ -95,10 +95,8 @@ class NgramLM:
 
     def _table(self, context: TokenSeq) -> tuple[array, str]:
         """(cumulative probabilities in sorted-vocabulary order, argmax)
-        of the table a context resolves to."""
-        context = tuple(context)
-        if len(context) >= self.order:  # only the last order-1 tokens count
-            context = context[len(context) - self.order + 1 :]
+        of the table a context resolves to; only its last order - 1 tokens count."""
+        context = tuple(context[1 - self.order :]) if self.order > 1 else ()
         entry = self._by_context.get(context)
         if entry is None:
             key, table = self._resolve(context)
@@ -291,16 +289,6 @@ def predict_extensions(
     if cfg.strategy == "unknown":
         return [tuple(prefix) + (UNK,) * cfg.k]
 
-    if cfg.strategy == "lm_greedy":
-        assert lm is not None
-        seq = list(prefix)
-        for _ in range(cfg.k):
-            token = lm.argmax(tuple(seq[-(lm.order - 1) :]) if lm.order > 1 else ())
-            if token == EOS:
-                break
-            seq.append(token)
-        return [tuple(seq)]
-
     if cfg.strategy == "random":
         if not vocab:
             raise PredictorError("random strategy requires a vocabulary")
@@ -311,14 +299,14 @@ def predict_extensions(
             for rng in _sample_rngs(cfg.seed, sentence_id, step_index, cfg.n)
         ]
 
-    # lm_sample
+    # lm_sample draws once per stream; lm_greedy is one pass that draws nothing
     assert lm is not None
     out = []
-    for rng in _sample_rngs(cfg.seed, sentence_id, step_index, cfg.n):
+    greedy = cfg.strategy == "lm_greedy"
+    for rng in [None] if greedy else _sample_rngs(cfg.seed, sentence_id, step_index, cfg.n):
         seq = list(prefix)
         for _ in range(cfg.k):
-            ctx = tuple(seq[-(lm.order - 1) :]) if lm.order > 1 else ()
-            token = lm.sample(ctx, rng)
+            token = lm.argmax(seq) if rng is None else lm.sample(seq, rng)
             if token == EOS:
                 break
             seq.append(token)

@@ -232,14 +232,13 @@ def run_sentence(
     source = pair.source
     if memo is None:
         memo = _SentenceMemo([cfg], pair, models)
-    translator = memo.translator
     predictor = strat.predictor
 
     previous: TokenSeq = ()
     full_translation: TokenSeq | None = None
     if strat.kind == "oracle":
         try:
-            full_translation = translator.translate(source, source_is_final=True).tokens
+            full_translation = memo.translate(source, source_is_final=True).tokens
         except Exception as exc:
             raise SimulationError(f"sentence {pair.sentence_id}, step {len(source)}", exc)
 
@@ -252,15 +251,15 @@ def run_sentence(
                 bias = BiasSpec(previous, strat.bias_beta)
             # decoded towards this session's own display, so not filled
             # ahead: the step's requests go to the decoder in one batch
-            translator.translate_many(memo.requests(predictor, i, bias))
+            memo.translate_many(memo.requests(predictor, i, bias))
 
         probe_outputs: tuple[TokenSeq, ...] = ()
         try:
-            hyp = translator.translate(prefix, bias, is_final).tokens
+            hyp = memo.translate(prefix, bias, is_final).tokens
             if _takes_probes(predictor, is_final):
                 extensions = memo.extensions(predictor, i)
                 probe_outputs = tuple(
-                    [translator.translate(ext, bias, False).tokens for ext in extensions]
+                    [memo.translate(ext, bias, False).tokens for ext in extensions]
                 )
         except Exception as exc:
             raise SimulationError(f"sentence {pair.sentence_id}, step {i}", exc)
@@ -282,27 +281,26 @@ def run_sentence(
 
 def simulate_sentence(
     cfgs: list[RunConfig], pair: SentencePair, models: Models
-) -> tuple[list[SessionTrace], tuple[int, Exception] | None]:
-    """Every config's session over one sentence, through one _SentenceMemo.
-
-    Returns (one trace per config, None), or, when config c fails, the
-    traces of the configs before it and (c, error).
+) -> list[SessionTrace | Exception]:
+    """Every config's session over one sentence, through one _SentenceMemo:
+    one result per config, in order. A config that fails ends the list
+    with its error, so the configs after it have none.
     """
     memo = _SentenceMemo(cfgs, pair, models)
-    traces = []
-    for index, cfg in enumerate(cfgs):
+    results: list[SessionTrace | Exception] = []
+    for cfg in cfgs:
         try:
-            traces.append(run_sentence(cfg, pair, models, memo))
+            results.append(run_sentence(cfg, pair, models, memo))
         except Exception as exc:  # returned, so the caller can pick the serial order's first
-            return traces, (index, exc)
-    return traces, None
+            return [*results, exc]
+    return results
 
 
-class _SentenceMemo:
+class _SentenceMemo(CachingTranslator):
     """One sentence's prefixes, translations and probe extensions, shared
     by the configs run over it.
 
-    translator is a CachingTranslator over the models' translator, so
+    The memo is a CachingTranslator over the models' translator, so
     translator errors are kept and raised by each step that asks again.
     Building the memo fills it with every request of the unbiased
     configs (each prefix's hypothesis, the last one also the oracle's
@@ -311,13 +309,13 @@ class _SentenceMemo:
     """
 
     def __init__(self, cfgs: list[RunConfig], pair: SentencePair, models: Models):
+        super().__init__(models.translator)
         self.pair, self.models = pair, models
         # one tuple per prefix, however many configs' records hold it
         self.prefixes = [pair.source[:i] for i in range(1, len(pair.source) + 1)]
-        self.translator = CachingTranslator(models.translator)
         self._extensions: dict[tuple[PredictorConfig, int], list[TokenSeq]] = {}
         keys = dict.fromkeys(c.strategy.predictor for c in cfgs if c.strategy.bias_beta == 0.0)
-        self.translator.translate_many(
+        self.translate_many(
             [
                 request
                 for key in keys
@@ -393,7 +391,7 @@ def _run_configs(
 def _simulate(
     cfgs: list[RunConfig], pairs: list[SentencePair], models: Models, jobs: int
 ) -> tuple[list[list[SessionTrace]], tuple[int, Exception] | None]:
-    """Run every config over every sentence; each config's traces by sentence_id.
+    """Run every config over every sentence; each config's traces in sentence order.
 
     With jobs > 1 the sentences are cut into the shards pairs[i::jobs]:
     this process runs shard 0, and each other shard runs in one forked
@@ -418,42 +416,36 @@ def _simulate(
         shards = _run_forked(cfgs, pairs, models, jobs)
     else:
         shards = [_run_shard(cfgs, pairs, models)]
-    failures = [failure for _, failure in shards if failure is not None]
-    if failures:
-        index, _, exc = min(failures, key=lambda failure: failure[:2])
-        return [], (index, exc)
-    return [
-        sorted(
-            chain.from_iterable(traces[c] for traces, _ in shards),
-            key=lambda trace: trace.sentence_id,
-        )
-        for c in range(len(cfgs))
-    ], None
+    n = len(shards)  # sentence i is item i // n of shard i % n
+    out: list[list[SessionTrace]] = []
+    for c in range(len(cfgs)):
+        # a config's lists end early only after its own error or an earlier config's
+        out.append([])
+        for i in range(len(pairs)):
+            result = shards[i % n][c][i // n]
+            if isinstance(result, Exception):
+                return [], (c, result)
+            out[c].append(result)
+    return out, None
 
 
-def _run_shard(cfgs, pairs, models):
-    """(traces per config, None), or ([], (config index, sentence_id, error))
-    of the first error in config-then-sentence order.
-
-    Sentence by sentence, every config runs through simulate_sentence.
-    When config c fails, configs from c on stop; the configs before c run
-    on, because one of them failing later comes first in that order.
+def _run_shard(cfgs, pairs, models) -> list[list[SessionTrace | Exception]]:
+    """One result list per config, sentence by sentence through
+    simulate_sentence: its traces, ended by its error if it fails. When
+    config c fails, configs from c on stop; the configs before c run on,
+    because one of them failing later comes first in config-then-sentence order.
     """
-    out: list[list[SessionTrace]] = [[] for _ in cfgs]
-    live, failure = cfgs, None
+    out: list[list[SessionTrace | Exception]] = [[] for _ in cfgs]
+    live = cfgs
     for pair in pairs:
-        traces, failed = simulate_sentence(live, pair, models)
-        for cell, trace in zip(out, traces):
-            cell.append(trace)
-        if failed is not None:
-            index, exc = failed
-            failure = (index, pair.sentence_id, exc)
-            live = cfgs[:index]
+        results = simulate_sentence(live, pair, models)
+        for cell, result in zip(out, results):
+            cell.append(result)
+        if isinstance(results[-1], Exception):
+            live = cfgs[:len(results) - 1]
             if not live:
                 break
-    if failure is not None:
-        return [], failure
-    return out, None
+    return out
 
 
 def _run_forked(cfgs, pairs, models, jobs: int) -> list:
@@ -637,10 +629,6 @@ def trace_to_dict(trace: SessionTrace) -> dict:
     }
 
 
-# what an absent probes list reads as; compared by value, never handed out
-_NO_PROBES: list = []
-
-
 def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
     """Rebuild a trace; raises TraceError for a wrong version or a missing or mistyped field.
 
@@ -680,7 +668,7 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
     try:
         for rec in data["records"]:
             step, mask, final = rec["step_index"], rec["mask_length"], rec["is_final"]
-            calls = rec.get("n_translate_calls", 1)
+            calls = rec["n_translate_calls"]
             if type(step) is not int:
                 raise _mistyped(len(records), "step_index", step, int)
             if type(mask) is not int:
@@ -689,10 +677,10 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
                 raise _mistyped(len(records), "is_final", final, bool)
             if type(calls) is not int:
                 raise _mistyped(len(records), "n_translate_calls", calls, int)
-            # StepRecords built positionally, in field order; absent or
-            # empty probes are (), anything else is converted and may
-            # raise: a probes value that is not an array fails in `tokens`,
-            # on its first element or, if it converts to (), on itself
+            # StepRecords built positionally, in field order; empty probes
+            # are (), anything else is converted and may raise: a probes
+            # value that is not an array fails in `tokens`, on its first
+            # element or, if it converts to (), on itself
             append(StepRecord(
                 step,
                 tokens(rec["source_prefix"]),
@@ -700,7 +688,7 @@ def trace_from_dict(data: dict, strings: dict | None = None) -> SessionTrace:
                 tokens(rec["emitted_output"]),
                 mask,
                 final,
-                () if (probes := rec.get("probes", _NO_PROBES)) == _NO_PROBES
+                () if (probes := rec["probes"]) == []
                 else tuple(map(tokens, probes)) or tokens(probes),
                 calls,
             ))

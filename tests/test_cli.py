@@ -22,7 +22,7 @@ from retransim.metrics import TradeoffPoint, mask_histogram, pareto_frontier
 from retransim.sim import SweepSpec, load_sweep_spec, run_sweep
 from retransim.predict import LM_FORMAT, load_lm
 from retransim.sim import ConfigError, RunConfig, read_traces, save_run_config
-from retransim.strategy import StrategyConfig
+from retransim.strategy import KINDS, StrategyConfig
 from conftest import lm_prob, write_corpus
 
 
@@ -144,6 +144,18 @@ def test_run_metrics_roundtrip_bit_identical(workspace, capsys):
     assert capsys.readouterr().out == recomputed.read_text()
     assert metrics_path.read_text() == recomputed.read_text()
     assert not list(tmp_path.glob("*.tmp"))  # every file was renamed into place
+
+
+def test_metrics_takes_its_label_from_the_run_header(workspace, capsys):
+    # the header names the strategy, so no flag relabels a replayed run
+    tmp_path, _, cfg_path = workspace
+    traces_path = tmp_path / "t.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--traces-out", str(traces_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["metrics", "--traces", str(traces_path), "--label", "other"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --label other" in capsys.readouterr().err
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):
@@ -338,6 +350,24 @@ def _corpus_in_its_pareto_file(work: Path) -> list[str]:
     return [*_sweep_over("s.json", base), "--out-dir", "res", "--pareto"]
 
 
+def _sweep_csv_a_directory(work: Path) -> list[str]:
+    Path("out/sweep.csv").mkdir(parents=True)
+    base = json.loads((work / "run.json").read_text(encoding="utf-8"))
+    return [*_sweep_over("s.json", base), "--out-dir", "out", "--traces"]
+
+
+def _sweep_pareto_a_directory(work: Path) -> list[str]:
+    Path("res/sweep_pareto.csv").mkdir(parents=True)
+    base = json.loads((work / "run.json").read_text(encoding="utf-8"))
+    return [*_sweep_over("s.json", base), "--out-dir", "res", "--pareto"]
+
+
+def _metrics_out_a_directory(work: Path) -> list[str]:
+    assert main(["run", "--config", "work/run.json", "--traces-out", "t.jsonl"]) == 0
+    Path("m.csv").mkdir()
+    return ["metrics", "--traces", "t.jsonl", "--out", "m.csv"]
+
+
 def _lexicon_as_its_cell_file(work: Path) -> list[str]:
     base = json.loads((work / "run.json").read_text(encoding="utf-8"))
     base["translator"]["lexicon_path"] = "work/mask_k=2.jsonl"
@@ -370,26 +400,39 @@ def _lexicon_as_its_cell_file(work: Path) -> list[str]:
          "base.source_path 'res/sweep_pareto.csv'"),
         (_lexicon_as_its_cell_file, "--out-dir 'work/mask_k=2.jsonl' names the same file as "
          "base.translator.lexicon_path 'work/mask_k=2.jsonl'"),
+        (["run", "--config", "work/run.json", "--traces-out", "work"], "'work' is a directory"),
+        (["run", "--config", "work/run.json", "--metrics-out", "new/m.csv"],
+         "'new/m.csv': 'new' is not a directory"),
+        (_sweep_csv_a_directory, "'out/sweep.csv' is a directory"),
+        (_sweep_pareto_a_directory, "'res/sweep_pareto.csv' is a directory"),
+        (_metrics_out_a_directory, "'m.csv' is a directory"),
+        (["train-lm", "--source", "work/synthetic.src", "--out", "work"], "'work' is a directory"),
     ],
     ids=["run-metrics-over-source", "train-lm-over-its-source", "run-traces-over-lexicon",
          "run-traces-over-config", "run-metrics-over-reference-flag", "run-traces-over-lm",
-         "sweep-csv-over-spec", "sweep-pareto-over-base-source", "sweep-cell-over-base-lexicon"],
+         "sweep-csv-over-spec", "sweep-pareto-over-base-source", "sweep-cell-over-base-lexicon",
+         "run-traces-a-directory", "run-metrics-in-no-directory", "sweep-csv-a-directory",
+         "sweep-pareto-a-directory", "metrics-out-a-directory", "train-lm-out-a-directory"],
 )
 def test_an_output_over_an_input_exits_2_before_any_work(synthetic_work, monkeypatch, capsys,
                                                          argv, problem):
-    """No command writes over a file it reads: each output path is refused,
-    before any work, when it resolves to an input or to another output."""
+    """No command writes over a file it reads or over a directory: each
+    output path is refused, before any work, when it is a directory, lies in
+    no directory, or resolves to an input or to another output."""
     if callable(argv):
         argv = argv(synthetic_work)
-    files = {path: path.read_bytes() for path in Path().rglob("*") if path.is_file()}
+    capsys.readouterr()
+    # directories too, so that a refused command is seen to make none
+    tree = {path: path.is_file() and path.read_bytes() for path in Path().rglob("*")}
     monkeypatch.setattr(sim, "simulate_sentence", None)
     monkeypatch.setattr("retransim.cli.train_lm", None)
+    monkeypatch.setattr("retransim.cli.read_valid_traces", None)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {problem}\n"
     assert captured.out == ""
     # every input is left byte for byte, and no output is made
-    assert {path: path.read_bytes() for path in Path().rglob("*") if path.is_file()} == files
+    assert {path: path.is_file() and path.read_bytes() for path in Path().rglob("*")} == tree
 
 
 def _echoed(err: str) -> dict:
@@ -1138,6 +1181,81 @@ def test_run_outcome_does_not_depend_on_the_kernel(walkthrough_work, tmp_path, m
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code
     assert problem in outcomes[0][2]
+
+
+@pytest.fixture(scope="module")
+def small_work(tmp_path_factory):
+    """A 20-sentence make-synthetic corpus, its run config template and its LM."""
+    work = tmp_path_factory.mktemp("small")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["make-synthetic", "--out-dir", str(work), "--sentences", "20",
+                     "--max-len", "12"]) == 0
+        assert main(["train-lm", "--source", str(work / "synthetic.src"), "--out",
+                     str(work / "lm.json")]) == 0
+    return work
+
+
+# a predictor of each kind with its k; n and seed only where PredictorConfig takes them
+WHOLE_RUN_PREDICTORS = st.one_of(
+    st.fixed_dictionaries({"strategy": st.sampled_from(["lm_sample", "random"]),
+                           "k": st.integers(1, 3), "n": st.integers(1, 3),
+                           "seed": st.integers(0, 2**64 - 1)}),
+    st.fixed_dictionaries({"strategy": st.sampled_from(["lm_greedy", "unknown"]),
+                           "k": st.integers(1, 3)}),
+)
+
+
+@st.composite
+def whole_run_configs(draw):
+    """(strategy, translator parameters) of a valid run over small_work."""
+    kind = draw(st.sampled_from(KINDS))
+    strategy = {"kind": kind,
+                "bias_beta": 0.0 if kind == "oracle" else draw(st.sampled_from([0.0, 0.3, 1.0]))}
+    if kind == "mask_k":
+        strategy["k_mask"] = draw(st.integers(1, 4))
+    if kind == "dynamic":
+        strategy["predictor"] = draw(WHOLE_RUN_PREDICTORS)
+    params = {"instability": draw(st.sampled_from([0.0, 0.5, 3.0])),
+              "beam_size": draw(st.sampled_from([1, 2, 6])),
+              "distortion": draw(st.sampled_from([0.2, 1.0]))}
+    return strategy, params
+
+
+def _run_outcome(argv, kernel) -> tuple[int, str]:
+    """main's exit code and stdout with translator._kernel set to kernel."""
+    saved, translator._kernel = translator._kernel, kernel
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        translator._kernel = saved
+    return code, out.getvalue()
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=whole_run_configs())
+def test_a_whole_run_depends_on_neither_the_kernel_nor_parallelism(small_work, case):
+    """A valid run's exit code, stdout and trace bytes are the same with the
+    C kernel and with the Python beam search, and at parallelism 1 and 3;
+    metrics on its trace file prints the CSV the run printed."""
+    strategy, params = case
+    config = json.loads((small_work / "run.json").read_text(encoding="utf-8"))
+    config["translator"].update(params)
+    config.update(strategy=strategy, lm_path=str(small_work / "lm.json"))
+    (small_work / "case.json").write_text(json.dumps(config), encoding="utf-8")
+    outcomes = []
+    for kernel, parallelism in ((translator._kernel, 1), (None, 1), (translator._kernel, 3)):
+        traces = small_work / f"{parallelism}-{kernel is None}.jsonl"
+        traces.unlink(missing_ok=True)
+        code, out = _run_outcome(["run", "--config", str(small_work / "case.json"),
+                                  "--parallelism", str(parallelism), "--traces-out", str(traces)],
+                                 kernel)
+        outcomes.append((code, out, traces.exists() and traces.read_bytes()))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+    assert outcomes[0][0] == 0
+    assert _run_outcome(["metrics", "--traces", str(traces)], translator._kernel) == (0, out)
 
 
 @pytest.mark.parametrize(

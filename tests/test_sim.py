@@ -359,7 +359,7 @@ def test_arbitrary_traces_round_trip_with_sort_keys_bytes(tmp_path_factory, trac
 @pytest.mark.parametrize(
     "probes, expected",
     [
-        ("absent", ()),
+        ("absent", "KeyError: 'probes'"),  # every writer writes all eight keys
         ([], ()),
         ([["p", "q"], []], (("p", "q"), ())),
         (None, "TypeError: 'NoneType' object is not iterable"),
@@ -375,6 +375,7 @@ def test_trace_from_dict_reads_probes(probes, expected):
         "emitted_output": ["x"],
         "mask_length": 0,
         "is_final": True,
+        "n_translate_calls": 1,
     }
     if probes != "absent":
         rec["probes"] = probes
@@ -384,6 +385,16 @@ def test_trace_from_dict_reads_probes(probes, expected):
     else:
         with pytest.raises(TraceError, match=f"^malformed step record: {expected}$"):
             trace_from_dict(data)
+
+
+def test_trace_from_dict_refuses_a_record_without_n_translate_calls():
+    # every writer writes all eight keys, so a missing one is a malformed record
+    rec = {"step_index": 1, "source_prefix": ["a"], "raw_hypothesis": ["x"],
+           "emitted_output": ["x"], "mask_length": 0, "is_final": True, "probes": []}
+    data = {"schema_version": 1, "sentence_id": 0, "final_output": ["x"], "records": [rec]}
+    with pytest.raises(TraceError) as info:
+        trace_from_dict(data)
+    assert str(info.value) == "malformed step record: KeyError: 'n_translate_calls'"
 
 
 @pytest.mark.parametrize(
@@ -403,11 +414,12 @@ def test_trace_from_dict_reads_probes(probes, expected):
 def test_trace_from_dict_type_checks_step_fields(field, value, kind):
     recs = [
         {"step_index": i, "source_prefix": ["a", "b"][:i], "raw_hypothesis": ["x"],
-         "emitted_output": ["x"], "mask_length": 0, "is_final": i == 2}
+         "emitted_output": ["x"], "mask_length": 0, "is_final": i == 2, "probes": [],
+         "n_translate_calls": 1}
         for i in (1, 2)
     ]
     data = {"schema_version": 1, "sentence_id": 0, "final_output": ["x"], "records": recs}
-    assert trace_from_dict(data).records[1].n_translate_calls == 1  # absent reads as 1
+    assert trace_from_dict(data).records[1].n_translate_calls == 1
     recs[1][field] = value
     with pytest.raises(TraceError) as info:
         trace_from_dict(data)

@@ -40,6 +40,7 @@ from retransim.translator import (
     load_script,
     mix64,
 )
+import sanitized
 from conftest import ONE_TO_ONE_LEXICON, seq
 
 
@@ -700,49 +701,25 @@ def test_kernel_build_removes_stale_libraries(tmp_path, monkeypatch):
     assert other != lib and lib.exists()  # a build with other flags sits beside it
 
 
-# the kernel built for AddressSanitizer and UndefinedBehaviorSanitizer; the
-# rounding flag stays, so it must still match the Python search bit for bit
-_SANITIZED_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
-                    "-fno-sanitize-recover=all", "-ffp-contract=off", "-fPIC", "-shared")
 # the tests that compare the kernel with the Python search, by name; not
 # the test that runs them
 _KERNEL_TESTS = ("(kernel_matches_python or beta_zero or beams_wider or unit_interval "
                  "or translate_many_equals) and not sanitizers")
-# a process whose kernel is the sanitized build runs those tests of this
-# file, uncaptured, so that a sanitizer's report reaches its stderr
-_UNDER_SANITIZERS = """
-import sys
-import pytest
-from retransim import translator
-translator._kernel = translator._load_kernel(tuple(sys.argv[1].split()))
-if translator._kernel is None:
-    sys.exit("the sanitized kernel did not build or load")
-sys.exit(pytest.main(["-q", "-s", "-p", "no:cacheprovider", "-k", sys.argv[2], sys.argv[3]]))
-"""
 
 
 def test_kernel_under_address_and_undefined_behavior_sanitizers(tmp_path):
-    """An out-of-bounds access or undefined behaviour in _beam.c aborts the
-    run, though its outputs might still match. Python allocates with plain
-    malloc there, so the buffers the kernel reads carry the sanitizer's guards."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler 'cc' on PATH")
-    runtimes = []
-    for name in ("libasan.so", "libubsan.so"):
-        found = subprocess.run([cc, f"-print-file-name={name}"], capture_output=True, text=True)
-        if not Path(found.stdout.strip()).is_absolute():
-            pytest.skip(f"{cc} has no {name} runtime")
-        runtimes.append(found.stdout.strip())
-    root = Path(translator.__file__).parents[1]
+    """tests/sanitized.py runs the kernel-against-Python tests of this file,
+    uncaptured so that a sanitizer's report reaches its stderr."""
     here = Path(__file__).resolve()
-    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
-               PYTHONMALLOC="malloc", PYTHONPATH=os.pathsep.join([str(root), str(here.parent)]))
+    root = Path(translator.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), str(here.parent)]))
     child = subprocess.run(
-        [sys.executable, "-c", _UNDER_SANITIZERS, " ".join(_SANITIZED_FLAGS), _KERNEL_TESTS,
-         str(here)],
+        [sys.executable, str(here.parent / "sanitized.py"), "-q", "-s", "-p", "no:cacheprovider",
+         "-k", _KERNEL_TESTS, str(here)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
+    if child.returncode == sanitized.MISSING:
+        pytest.skip(child.stderr.strip())
     shown = (child.stdout + child.stderr)[-3000:]
     assert child.returncode == 0, shown
     assert " passed" in child.stdout and "skipped" not in child.stdout, shown
